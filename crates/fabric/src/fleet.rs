@@ -13,9 +13,10 @@ use trace::{MetricsRegistry, Tracer};
 pub use crate::chaos::ChaosStats;
 use crate::chaos::{ChaosRuntime, MemberSig, Parked, Phase};
 use crate::driver::NicDriver;
+use crate::workers::EpochWorkers;
 
 /// One member NIC plus its fabric-side state.
-struct Member {
+pub(crate) struct Member {
     nic: PanicNic,
     /// The tile where inter-NIC arrivals enter this member's mesh.
     uplink: EngineId,
@@ -24,6 +25,9 @@ struct Member {
     /// When this member's uplink serializer frees up (one uplink port
     /// into the ToR per NIC, shared by all of its outgoing links).
     uplink_free_at: Cycle,
+    /// How the member runs the next epoch, refreshed from its chaos
+    /// phase before every epoch.
+    mode: MemberMode,
 }
 
 impl std::fmt::Debug for Member {
@@ -31,6 +35,7 @@ impl std::fmt::Debug for Member {
         f.debug_struct("Member")
             .field("uplink", &self.uplink)
             .field("has_driver", &self.driver.is_some())
+            .field("mode", &self.mode)
             .finish_non_exhaustive()
     }
 }
@@ -357,6 +362,7 @@ impl FabricBuilder {
                     uplink,
                     driver,
                     uplink_free_at: Cycle(0),
+                    mode: MemberMode::Run,
                 }
             })
             .collect();
@@ -373,6 +379,7 @@ impl FabricBuilder {
                 .collect(),
             epoch,
             threads: 1,
+            workers: EpochWorkers::default(),
             traced: false,
             stats: FleetStats::default(),
             chaos,
@@ -395,6 +402,9 @@ pub struct Fabric {
     /// run call" — nothing can cross, so nothing needs a boundary.
     epoch: Option<u64>,
     threads: usize,
+    /// Persistent threads for parallel epochs, spawned on the first
+    /// one and joined on drop.
+    workers: EpochWorkers,
     /// Set when a tracer is attached: tracing interleaves events from
     /// all members through one sink, so the member loop stays serial
     /// to keep event order deterministic.
@@ -451,19 +461,31 @@ impl Fabric {
         self.epoch
     }
 
-    /// Sets how many worker threads the per-epoch member loop may use.
-    /// Results are byte-identical for every value — members share
-    /// nothing within an epoch, and the exchange is serial. Ignored
-    /// (forced to 1) while a tracer is attached, so trace event order
-    /// stays deterministic too.
+    /// Sets how many threads the per-epoch member loop may use, the
+    /// calling thread included. Results are byte-identical for every
+    /// value — members share nothing within an epoch, and the boundary
+    /// exchange stays serial on the calling thread.
+    ///
+    /// With `threads > 1` the members are split into
+    /// `min(threads, members)` contiguous partitions whose sizes differ
+    /// by at most one. The calling thread runs partition 0; the others
+    /// go to persistent worker threads the fabric spawns on its first
+    /// parallel epoch and reuses for every later epoch of every
+    /// `run`/`run_ff`/`run_event` call. Hand-offs wait with a short
+    /// bounded spin before blocking, so idle workers sleep. Lowering
+    /// the count joins the surplus workers at once; dropping the
+    /// fabric joins them all. Ignored (forced to 1) while a tracer is
+    /// attached, so trace event order stays deterministic too.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
+        self.workers.truncate(self.threads - 1);
     }
 
     /// Attaches `tracer` to every member. Track names are shared
-    /// across members, so per-component tracks merge; runs with a
-    /// tracer attached execute the member loop serially (see
-    /// [`Fabric::set_threads`]).
+    /// across members, so per-component tracks merge. A fabric with a
+    /// tracer attached runs the member loop serially on the calling
+    /// thread whatever [`Fabric::set_threads`] says, and joins any
+    /// epoch workers it already had.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         for m in &mut self.members {
             m.nic.attach_tracer(tracer);
@@ -472,6 +494,9 @@ impl Fabric {
             self.tracer = tracer.clone();
         }
         self.traced = self.traced || tracer.enabled();
+        if self.traced {
+            self.workers.truncate(0);
+        }
     }
 
     /// Fault-plane counters, when a fault plane is armed.
@@ -1088,52 +1113,28 @@ impl Fabric {
         self.stats.forwarded += 1;
     }
 
-    /// Runs every member over `[from, to)`, in parallel when allowed.
-    /// Returns the members' summed fast-forward skip counts.
+    /// Runs every member over `[from, to)`, on the epoch workers when
+    /// allowed. Returns the members' summed fast-forward skip counts.
     fn run_members(&mut self, from: Cycle, to: Cycle, run: RunMode) -> u64 {
-        let modes: Vec<MemberMode> = match &self.chaos {
-            None => vec![MemberMode::Run; self.members.len()],
-            Some(c) => c
-                .phases
-                .iter()
-                .map(|p| match p {
+        if let Some(c) = &self.chaos {
+            for (m, p) in self.members.iter_mut().zip(&c.phases) {
+                m.mode = match p {
                     Phase::Up => MemberMode::Run,
                     Phase::Draining { .. } => MemberMode::Drain,
                     Phase::Down { .. } => MemberMode::Skip,
-                })
-                .collect(),
-        };
+                };
+            }
+        }
         let threads = if self.traced { 1 } else { self.threads };
-        let threads = threads.min(self.members.len().max(1));
-        if threads <= 1 {
+        let parts = threads.min(self.members.len());
+        if parts <= 1 {
             return self
                 .members
                 .iter_mut()
-                .zip(&modes)
-                .map(|(m, &mode)| run_member(m, from, to, run, mode))
+                .map(|m| run_member(m, from, to, run))
                 .sum();
         }
-        let chunk = self.members.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .members
-                .chunks_mut(chunk)
-                .zip(modes.chunks(chunk))
-                .map(|(slice, modes)| {
-                    s.spawn(move || {
-                        slice
-                            .iter_mut()
-                            .zip(modes)
-                            .map(|(m, &mode)| run_member(m, from, to, run, mode))
-                            .sum::<u64>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fabric worker panicked"))
-                .sum()
-        })
+        self.workers.run(&mut self.members, parts, from, to, run)
     }
 
     /// Boundary exchange: drains each member's fabric egress onto its
@@ -1421,7 +1422,7 @@ impl Fabric {
 /// byte-identical traces and metrics; they differ only in how many
 /// idle cycles are actually ticked (see `docs/PERF.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
+pub(crate) enum RunMode {
     /// Tick every member every cycle.
     Stepped,
     /// Quiescence fast-forward: re-derive the jump target inline after
@@ -1449,8 +1450,10 @@ enum MemberMode {
 }
 
 /// Runs one member over `[from, to)`, interleaving its driver's
-/// injections with (fast-forwarded) execution. Returns cycles skipped.
-fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: RunMode, mode: MemberMode) -> u64 {
+/// injections with (fast-forwarded) execution, as its `mode` says.
+/// Returns cycles skipped.
+pub(crate) fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: RunMode) -> u64 {
+    let mode = m.mode;
     if mode == MemberMode::Skip {
         m.nic.skip_idle(from, to);
         return 0;

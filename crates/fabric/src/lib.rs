@@ -23,9 +23,9 @@
 //! `run_ff` proved chunked calls byte-identical to one long call),
 //! and messages cross NICs only in the serial exchange at each
 //! boundary. Because members share nothing *within* an epoch, the
-//! per-epoch member loop can run on worker threads
-//! ([`Fabric::set_threads`]) with results byte-identical to the
-//! serial order — the determinism the `rack` experiment's golden
+//! per-epoch member loop can run on persistent worker threads the
+//! fabric owns ([`Fabric::set_threads`]) with results byte-identical
+//! to the serial order — the determinism the `rack` experiment's golden
 //! tests pin. See `docs/FABRIC.md` for the full synchronization
 //! argument.
 //!
@@ -67,6 +67,7 @@
 mod chaos;
 mod driver;
 mod fleet;
+mod workers;
 
 pub use chaos::ChaosStats;
 pub use driver::{NicDriver, PeriodicDriver};

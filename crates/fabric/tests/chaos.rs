@@ -262,6 +262,27 @@ fn chaotic_runs_are_byte_identical_across_thread_counts() {
     assert_eq!(run(1), run(4), "chaos must not depend on the thread count");
 }
 
+/// A Draining member and a Down member in the same epochs: member 1
+/// is lost early (Down for good once drained, on the calling thread's
+/// partition at two threads) while member 2 crashes later and drains
+/// on the worker's partition. Byte-identical at 1 and 2 threads.
+#[test]
+fn draining_and_down_members_are_byte_identical_across_thread_counts() {
+    fn run(threads: usize) -> String {
+        let plan = FabricFaultPlan::parse("mloss:1@700,mcrash:2@1400+20").unwrap();
+        let mut fabric = ring(4, Some(FabricFaultConfig::new(plan)));
+        fabric.set_threads(threads);
+        drain(&mut fabric);
+        let stats = fabric.chaos_stats().expect("armed");
+        assert_eq!(stats.member_crashes, 2);
+        assert_eq!(stats.member_recoveries, 1);
+        let mut m = MetricsRegistry::new();
+        fabric.export_metrics(&mut m);
+        m.to_json()
+    }
+    assert_eq!(run(1), run(2), "member phases must not depend on threads");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -1,11 +1,14 @@
 //! Rack-fabric integration tests: the cross-NIC chain acceptance
 //! criterion, the 1-NIC golden byte-identity, thread-count
-//! determinism, and the run ≡ run_ff contract at fabric level.
+//! determinism, the epoch workers' lifecycle, and the run ≡ run_ff
+//! contract at fabric level.
+
+use std::sync::{Mutex, MutexGuard};
 
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use fabric::{Fabric, FabricBuilder, LinkSpec, PeriodicDriver};
+use fabric::{Fabric, FabricBuilder, LinkSpec, NicDriver, PeriodicDriver};
 use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::EngineClass;
@@ -77,6 +80,18 @@ fn frame_driver(
             now,
         );
     })
+}
+
+/// Held by every test here that runs a fabric on more than one thread,
+/// so the worker-thread census in
+/// `dropping_fabrics_joins_their_workers` sees only its own workers.
+static THREADED: Mutex<()> = Mutex::new(());
+
+/// Takes [`THREADED`], surviving a sibling test's panic.
+fn threaded() -> MutexGuard<'static, ()> {
+    THREADED
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Runs the fabric to quiescence (bounded), returning the cycle clock.
@@ -256,48 +271,148 @@ fn one_nic_fabric_is_byte_identical_to_bare_nic() {
     );
 }
 
-/// A 4-member ring with cross traffic on every member: metrics, fleet
-/// stats, and conservation are byte-identical at 1 worker thread and
-/// at 4 — the exchange is serial and members share nothing inside an
-/// epoch.
+/// A 4-member ring with cross traffic on every member, metrics, fleet
+/// stats and conservation, run as five 12,000-cycle `run_ff` calls
+/// (whole epochs, so the boundary schedule never depends on the
+/// split) plus a drain. Before call `k` the thread count is set to
+/// `schedule[k % schedule.len()]`.
+fn ring_run(schedule: &[usize]) -> (String, fabric::FleetStats) {
+    let mut fb = FabricBuilder::new();
+    let mut uplinks = Vec::new();
+    for i in 0..4 {
+        let (mut b, eth, crc) = member();
+        let next = (i + 1) % 4;
+        // Every member declares engines in the same order, so this
+        // member's crc/eth ids also address its neighbor's.
+        b.program(chain_program(
+            &[crc, EngineId::remote(next, crc)],
+            EngineId::remote(next, eth),
+            Some(5_000),
+        ));
+        uplinks.push((fb.member(b, eth), eth));
+    }
+    for i in 0..4 {
+        fb.link_pair(i, (i + 1) % 4, LinkSpec::new(0, 0).latency(12).credits(8));
+    }
+    for (i, (mi, eth)) in uplinks.iter().enumerate() {
+        fb.driver(*mi, Box::new(frame_driver(*eth, (i as u64) * 7, 90, 30)));
+    }
+    let mut fabric = fb.build();
+    let mut now = Cycle(0);
+    for k in 0..5 {
+        fabric.set_threads(schedule[k % schedule.len()]);
+        now = fabric.run_ff(now, 12_000).0;
+    }
+    drain(&mut fabric, now);
+    let c = fabric.conservation();
+    assert!(c.holds(), "{schedule:?}: conservation violated:\n{c}");
+    let mut m = MetricsRegistry::new();
+    fabric.export_metrics(&mut m);
+    (m.to_json(), *fabric.stats())
+}
+
+/// The ring is byte-identical at 1, 2, 3, 4 and 8 threads (the last
+/// two spread 4 members over 4 partitions; 3 threads gives uneven
+/// 1/1/2 partitions), and when the thread count changes between
+/// `run_ff` calls — the exchange is serial and members share nothing
+/// inside an epoch.
 #[test]
 fn rack_runs_are_byte_identical_across_thread_counts() {
-    fn ring(threads: usize) -> (String, fabric::FleetStats) {
-        let mut fb = FabricBuilder::new();
-        let mut uplinks = Vec::new();
-        for i in 0..4 {
-            let (mut b, eth, crc) = member();
-            let next = (i + 1) % 4;
-            // Every member declares engines in the same order, so this
-            // member's crc/eth ids also address its neighbor's.
-            b.program(chain_program(
-                &[crc, EngineId::remote(next, crc)],
-                EngineId::remote(next, eth),
-                Some(5_000),
-            ));
-            uplinks.push((fb.member(b, eth), eth));
-        }
-        for i in 0..4 {
-            fb.link_pair(i, (i + 1) % 4, LinkSpec::new(0, 0).latency(12).credits(8));
-        }
-        for (i, (mi, eth)) in uplinks.iter().enumerate() {
-            fb.driver(*mi, Box::new(frame_driver(*eth, (i as u64) * 7, 90, 30)));
-        }
-        let mut fabric = fb.build();
-        fabric.set_threads(threads);
-        let now = fabric.run_ff(Cycle(0), 60_000).0;
-        drain(&mut fabric, now);
-        let c = fabric.conservation();
-        assert!(c.holds(), "threads={threads}: conservation violated:\n{c}");
-        let mut m = MetricsRegistry::new();
-        fabric.export_metrics(&mut m);
-        (m.to_json(), *fabric.stats())
+    let _threaded = threaded();
+    let (m1, s1) = ring_run(&[1]);
+    for schedule in [&[2][..], &[3], &[4], &[8], &[2, 8, 1, 3, 4]] {
+        let (m, s) = ring_run(schedule);
+        assert_eq!(m1, m, "{schedule:?}: metrics must not depend on threads");
+        assert_eq!(
+            s1, s,
+            "{schedule:?}: fleet stats must not depend on threads"
+        );
+    }
+}
+
+/// A driver that panics on its first injection.
+struct ExplodingDriver;
+
+impl NicDriver for ExplodingDriver {
+    fn next_arrival(&self, now: Cycle) -> Option<Cycle> {
+        Some(now.max(Cycle(30)))
     }
 
-    let (m1, s1) = ring(1);
-    let (m4, s4) = ring(4);
-    assert_eq!(m1, m4, "metrics must not depend on the thread count");
-    assert_eq!(s1, s4, "fleet stats must not depend on the thread count");
+    fn inject(&mut self, _nic: &mut PanicNic, _now: Cycle) {
+        panic!("driver exploded");
+    }
+}
+
+/// A panic on a worker-run member surfaces as a panic of the run call
+/// — it neither hangs the epoch nor vanishes with the worker — and
+/// dropping the fabric while unwinding joins the dead worker cleanly.
+#[test]
+#[should_panic(expected = "fabric worker panicked")]
+fn worker_panic_fails_the_run() {
+    let _threaded = threaded();
+    let (mut a, eth_a, crc_a) = member();
+    let (mut b, eth_b, crc_b) = member();
+    a.program(chain_program(&[crc_a], eth_a, Some(5_000)));
+    b.program(chain_program(&[crc_b], eth_b, Some(5_000)));
+    let mut fb = FabricBuilder::new();
+    let ia = fb.member(a, eth_a);
+    let ib = fb.member(b, eth_b);
+    fb.link_pair(ia, ib, LinkSpec::new(0, 0).latency(16));
+    // Member 1 is partition 1 at two threads: it runs on the worker.
+    fb.driver(ib, Box::new(ExplodingDriver));
+    let mut fabric = fb.build();
+    fabric.set_threads(2);
+    let _ = fabric.run_ff(Cycle(0), 1_000);
+}
+
+/// Number of live epoch-worker threads in this process, by thread
+/// name (Linux only).
+#[cfg(target_os = "linux")]
+fn live_workers() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("fabric-worker"))
+        .count()
+}
+
+/// Epoch workers spawn on the first parallel epoch, not at build, and
+/// `Drop` joins them: building, running and dropping 200 two-thread
+/// fabrics finishes and leaves no worker behind. (The census counts
+/// workers by thread name rather than the process's total thread
+/// count, because sibling tests start and stop harness threads.)
+#[test]
+fn dropping_fabrics_joins_their_workers() {
+    let _threaded = threaded();
+    #[cfg(target_os = "linux")]
+    let base = live_workers();
+    for i in 0..200 {
+        let mut fabric = two_nic_fabric(16, 16);
+        fabric.set_threads(2);
+        #[cfg(target_os = "linux")]
+        if i == 0 {
+            assert_eq!(live_workers(), base, "build must not spawn workers");
+        }
+        let _ = fabric.run_ff(Cycle(0), 64);
+        #[cfg(target_os = "linux")]
+        if i == 0 {
+            assert_eq!(live_workers(), base + 1, "one worker for two threads");
+        }
+    }
+    #[cfg(target_os = "linux")]
+    {
+        // A joined thread can linger in procfs for a moment after
+        // `join` returns; give the kernel a bounded grace period.
+        let mut left = live_workers();
+        for _ in 0..500 {
+            if left == base {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            left = live_workers();
+        }
+        assert_eq!(left, base, "dropped fabrics must join their workers");
+    }
 }
 
 /// `run` (stepped epochs) and `run_ff` (member fast-forward plus

@@ -28,9 +28,17 @@
 //! frame — that is workload state, not simulator state) and is
 //! excluded from the counted region, exactly as `docs/PERF.md`
 //! documents.
+//!
+//! ## Isolation
+//!
+//! The counter is armed and tallied per thread, so the test harness's
+//! own threads and sibling tests never land in a measured window; the
+//! tests also take [`SERIAL`] so they never overlap at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
@@ -50,26 +58,58 @@ use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use sim_core::wheel::TimerWheel;
 use workloads::frames::FrameFactory;
 
-/// Counts allocations (and reallocations) while armed; forwards
-/// everything to the system allocator.
+/// Counts allocations (and reallocations) made by a thread while that
+/// thread has the counter armed; forwards everything to the system
+/// allocator.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initializers without destructors: touching these never
+    // allocates, so the allocator itself can read them.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 /// Debug aid: set `ZERO_ALLOC_PANIC=1` to panic (with a backtrace) at
 /// the first counted allocation instead of tallying. Latched once in
 /// [`counted`] — reading the environment inside `alloc` would itself
 /// allocate.
 static PANIC_ON_ALLOC: AtomicBool = AtomicBool::new(false);
 
+/// The one-at-a-time lock every test in this file holds.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], surviving a sibling test's failure.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Whether the current thread's counter is armed (false while the
+/// thread is being torn down).
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
+
+/// Arms or disarms the current thread's counter; returns the previous
+/// state.
+fn set_armed(on: bool) -> bool {
+    ARMED.with(|a| a.replace(on))
+}
+
+/// Tallies one counted (re)allocation of `bytes` on this thread.
+fn tally(bytes: usize) {
+    ALLOCS.with(|a| a.set(a.get() + 1));
+    BYTES.with(|b| b.set(b.get() + bytes as u64));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if armed() {
+            tally(layout.size());
             if PANIC_ON_ALLOC.load(Ordering::Relaxed) {
-                ARMED.store(false, Ordering::SeqCst);
+                set_armed(false);
                 panic!("counted allocation of {} bytes", layout.size());
             }
         }
@@ -81,9 +121,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        if armed() {
+            tally(new_size);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -92,23 +131,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter armed; returns (result, allocations,
-/// bytes requested).
+/// Runs `f` with this thread's counter armed; returns (result,
+/// allocations, bytes requested) made by this thread inside `f`.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     PANIC_ON_ALLOC.store(
         std::env::var_os("ZERO_ALLOC_PANIC").is_some(),
         Ordering::SeqCst,
     );
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCS.with(|a| a.set(0));
+    BYTES.with(|b| b.set(0));
+    set_armed(true);
     let r = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (
-        r,
-        ALLOCS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    )
+    set_armed(false);
+    (r, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 /// A busy little NIC: two offload hops then back out the port, RMT
@@ -181,7 +216,7 @@ fn step(
 ) -> u64 {
     let mut delivered = 0;
     if now.0.is_multiple_of(inject_every) {
-        let was = ARMED.swap(false, Ordering::SeqCst);
+        let was = set_armed(false);
         nic.rx_frame(
             eth,
             factory.min_frame((now.0 % 4096) as u16, 80),
@@ -189,7 +224,7 @@ fn step(
             Priority::Normal,
             now,
         );
-        ARMED.store(was, Ordering::SeqCst);
+        set_armed(was);
     }
     nic.tick(now);
     scratch.clear();
@@ -207,6 +242,7 @@ fn steady_state_tick_allocates_nothing() {
     const WARMUP: u64 = 6_000;
     const MEASURE: u64 = 6_000;
 
+    let _serial = serial();
     let (mut nic, eth) = chain_nic();
     let mut factory = FrameFactory::for_nic_port(0);
     let mut scratch: Vec<Message> = Vec::new();
@@ -305,6 +341,7 @@ fn event_kernel_steady_state_allocates_nothing() {
     const WARMUP: u64 = 6_000;
     const MEASURE: u64 = 6_000;
 
+    let _serial = serial();
     let (mut nic, eth) = chain_nic();
     let mut factory = FrameFactory::for_nic_port(0);
     let mut scratch: Vec<Message> = Vec::new();
@@ -362,6 +399,7 @@ fn event_kernel_steady_state_allocates_nothing() {
 /// fast-forward hint machinery usually skips entirely).
 #[test]
 fn idle_tick_allocates_nothing() {
+    let _serial = serial();
     let (mut nic, _eth) = chain_nic();
     // Settle construction-time lazies.
     for c in 0..64 {
