@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the simulator's hot kernels: the parser, the
-//! match+action program, flit segmentation, the PIFO scheduler, and
-//! one router cycle. These are the per-cycle costs everything else
-//! multiplies, so regressions here slow every experiment.
+//! match+action program, the PIFO scheduler, and one mesh cycle. These
+//! are the per-cycle costs everything else multiplies, so regressions
+//! here slow every experiment.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
+use noc::network::{MeshNetwork, NetworkConfig};
+use noc::topology::Placement;
 use packet::chain::{EngineId, Slack};
 use packet::kvs::KvsRequest;
 use packet::message::{Message, MessageId, MessageKind};
-use packet::Flit;
 use rmt::parse::ParseGraph;
 use sched::admission::AdmissionPolicy;
 use sched::queue::SchedQueue;
@@ -35,16 +36,43 @@ fn bench_parser(c: &mut Criterion) {
     });
 }
 
-fn bench_flit_segmentation(c: &mut Criterion) {
-    let frame = kvs_frame();
-    c.bench_function("kernels/segment_64B_frame", |b| {
+fn bench_mesh_cycle(c: &mut Criterion) {
+    // The 6×6 mesh carrying 64 B frames on fixed legs (tile t sends to
+    // tile 7t + 3 mod 36, a permutation), one leg injected per cycle and
+    // every pending ejection polled: one iteration is one steady-state
+    // mesh cycle of `send`, `tick` and `poll_ejected`.
+    let cfg = NetworkConfig::panic_6x6_64b();
+    let tiles = cfg.topology.nodes() as u16;
+    let mut net = MeshNetwork::new(cfg.clone(), Placement::row_major(cfg.topology));
+    let legs: Vec<(EngineId, EngineId)> = (0..tiles)
+        .map(|t| (EngineId(t), EngineId((t * 7 + 3) % tiles)))
+        .collect();
+    let frame = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+        .payload(kvs_frame())
+        .build();
+    let mut now = Cycle(0);
+    c.bench_function("kernels/mesh_cycle", |b| {
         b.iter(|| {
-            let msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
-                .payload(frame.clone())
-                .build();
-            std::hint::black_box(Flit::segment(msg, EngineId(5), 64).len())
+            let (from, to) = legs[now.0 as usize % legs.len()];
+            net.send(from, to, frame.clone(), now);
+            net.tick(now);
+            now = now.next();
+            for word in 0..net.ejection_pending_words() {
+                let mut bits = net.ejection_pending_word(word);
+                while bits != 0 {
+                    let tile = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let _ = net.poll_ejected(EngineId(tile as u16), now);
+                }
+            }
+            std::hint::black_box(net.total_flit_hops())
         })
     });
+    // A growing backlog would time queueing, not a mesh cycle.
+    assert!(
+        legs.iter().all(|&(from, _)| net.source_depth(from) < 64),
+        "mesh_cycle load saturates the mesh"
+    );
 }
 
 fn bench_pifo(c: &mut Criterion) {
@@ -91,7 +119,7 @@ fn bench_crypto(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_parser,
-    bench_flit_segmentation,
+    bench_mesh_cycle,
     bench_pifo,
     bench_crypto
 );

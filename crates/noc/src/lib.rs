@@ -10,11 +10,13 @@
 //!
 //! * [`topology`] — mesh coordinates, XY dimension-ordered routing, and
 //!   placement of logical [`EngineId`](packet::EngineId)s onto tiles.
-//! * [`router`] — a cycle-accurate wormhole router: per-input FIFOs,
-//!   credit-based flow control (lossless), per-output round-robin
-//!   arbitration, one hop per cycle.
-//! * [`network`] — the assembled mesh: injection/ejection interfaces for
-//!   engine tiles, the two-phase clock driver, and traffic metrics.
+//! * [`router`] — the cycle-accurate wormhole router model: ports and
+//!   buffer sizing for per-input FIFOs, credit-based flow control
+//!   (lossless), per-output round-robin arbitration, one hop per cycle.
+//! * [`network`] — the assembled mesh: every router's state, stepped by
+//!   open wormholes over 8-byte flit handles; injection/ejection
+//!   interfaces for engine tiles, the two-phase clock driver, and
+//!   traffic metrics.
 //! * [`analytic`] — the closed-form models behind the paper's Table 2
 //!   (line-rate packet rates) and Table 3 (bisection bandwidth, capacity,
 //!   sustainable chain length), kept next to the simulator so the two
@@ -30,5 +32,5 @@ pub mod router;
 pub mod topology;
 
 pub use network::{MeshNetwork, NetworkConfig, NetworkStats};
-pub use router::{PortDir, Router, RouterConfig};
+pub use router::{PortDir, RouterConfig};
 pub use topology::{Coord, Placement, Topology};

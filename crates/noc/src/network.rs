@@ -1,6 +1,7 @@
 //! The assembled mesh network.
 //!
-//! [`MeshNetwork`] owns one [`Router`] per tile plus per-tile source
+//! [`MeshNetwork`] holds the state of every tile's wormhole router (the
+//! model is described in [`crate::router`]) plus per-tile source
 //! (injection) and ejection buffers, and exposes the interface engine
 //! tiles use:
 //!
@@ -10,22 +11,65 @@
 //!   tile's ejection buffer, yielding a [`Message`] when its tail
 //!   arrives (the engine's RX interface);
 //! * [`MeshNetwork::tick`] — advance the whole network one cycle in
-//!   two phases (all routers compute, then all transfers commit).
+//!   two phases (decide every move from pre-tick state, then commit).
 //!
 //! The network is lossless end to end: the only place a message can
 //! wait indefinitely is a source queue, which models the engine-side
 //! buffering the paper assigns to engines that don't run at line rate
 //! (§4.3).
+//!
+//! # Stepping by open wormholes
+//!
+//! A flit in the mesh is an 8-byte `FlitRef` handle: the slab slot of
+//! its message, its destination tile and its [`FlitKind`]. The message
+//! itself waits in the network's slab from `send` until its tail is
+//! polled. Router state lives in flat per-(tile, port) records, and a
+//! tick visits only the places where something can move:
+//!
+//! 1. **injection** — one flit per tile from the source queue into the
+//!    Local input;
+//! 2. **arbitration** — round robin at tiles whose bitmask shows a head
+//!    flit at an input front, for outputs no wormhole holds (a head's
+//!    XY output is computed once, when it reaches the front);
+//! 3. **continuation** — one pass over the open wormholes: each moves
+//!    its owner input's next flit if the output has a credit;
+//! 4. **commit** — the move list is applied.
+//!
+//! Every decision reads pre-tick state, and no two moves touch the same
+//! FIFO end (an input feeds at most one output, a FIFO receives at most
+//! one flit per cycle) while credit returns commute, so the order of the
+//! moves cannot change the simulated state. Traces are the only place
+//! order shows: traced ticks sort the moves by (tile, output) and emit
+//! each tile's `noc.credit_stall` instants before its `noc.hop`s. See
+//! `docs/PERF.md` ("NoC stepping").
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use packet::{EngineId, Flit, Message, MessageId, MessagePool, TenantId};
+use packet::{EngineId, Flit, FlitKind, Message, TenantId};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricsRegistry, Tracer, TrackId};
 
-use crate::router::{PortDir, RoutePlan, Router, RouterConfig};
+use crate::router::{PortDir, RouterConfig};
 use crate::topology::{Coord, Placement, RouteLut, Topology};
+
+/// Ports per tile.
+const PORTS: usize = PortDir::COUNT;
+/// Index of the Local port.
+const LOCAL: usize = PortDir::Local.index();
+/// `OPPOSITE[o]`: the input port on which the neighbor behind output
+/// `o` receives (see [`PortDir::opposite`]).
+const OPPOSITE: [usize; PORTS] = [
+    PortDir::North.opposite().index(),
+    PortDir::South.opposite().index(),
+    PortDir::East.opposite().index(),
+    PortDir::West.opposite().index(),
+    PortDir::Local.opposite().index(),
+];
+/// `Port::owner` of an output no wormhole holds.
+const NO_OWNER: u8 = u8::MAX;
+/// `Port::down` of an output with no link (mesh edge).
+const NO_LINK: u32 = u32::MAX;
 
 /// Network configuration.
 #[derive(Debug, Clone)]
@@ -85,6 +129,65 @@ impl NetworkStats {
     }
 }
 
+/// A flit in the mesh: an 8-byte handle naming its message's slab slot,
+/// its destination tile and its position in the message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlitRef {
+    /// Slab slot of the message this flit belongs to.
+    pub(crate) slot: u32,
+    /// Destination tile, resolved once at send.
+    pub(crate) dest: Coord,
+    /// Head/body/tail position.
+    pub(crate) kind: FlitKind,
+}
+
+const _: () = assert!(std::mem::size_of::<FlitRef>() == 8);
+
+impl FlitRef {
+    /// Filler for FIFO slots that hold no flit.
+    const EMPTY: FlitRef = FlitRef {
+        slot: u32::MAX,
+        dest: Coord::new(0, 0),
+        kind: FlitKind::Body,
+    };
+}
+
+/// Router state of one (tile, port) pair: the input FIFO that receives
+/// on the port and the output that sends through it.
+#[derive(Debug, Clone, Copy)]
+struct Port {
+    /// Input FIFO ring head, relative to the port's slice of `fifo`.
+    head: u32,
+    /// Input FIFO occupancy.
+    len: u32,
+    /// Output the head flit at the input front routes to; meaningful
+    /// while the input's bit is set in `head_inputs`.
+    route: u8,
+    /// Input whose wormhole holds this output, or [`NO_OWNER`].
+    owner: u8,
+    /// Round-robin pointer of this output.
+    rr: u8,
+    /// Fault injection: output masked off this cycle (link slowdown).
+    /// A blocked output behaves exactly like one with no credits.
+    blocked: bool,
+    /// Credits toward the downstream buffer.
+    credit: u32,
+    /// Initial (maximum) credits; `0` where no link exists — a real
+    /// link always has a non-zero buffer (lint PV102).
+    credit_init: u32,
+    /// Downstream tile ([`NO_LINK`] at a mesh edge, own tile for Local).
+    down: u32,
+}
+
+/// A message parked in the network from `send` until its tail is
+/// polled.
+#[derive(Debug)]
+struct Parked {
+    msg: Message,
+    /// Send cycle, for latency accounting.
+    sent: Cycle,
+}
+
 /// An active link-slowdown fault: output `port` at `tile` passes a
 /// flit only on cycles where `cycle % period == 0`, until `until`.
 #[derive(Debug)]
@@ -132,39 +235,47 @@ struct NetFaults {
 pub struct MeshNetwork {
     config: NetworkConfig,
     placement: Placement,
-    /// Dense engine→coord/tile tables snapshotted from `placement` —
-    /// the per-flit routing path never touches the hash maps.
+    /// Dense engine→tile table snapshotted from `placement`.
     lut: RouteLut,
-    /// `neighbor_idx[tile][port]` — downstream tile index per output
-    /// port (`u32::MAX` where no link exists; own tile for Local).
-    neighbor_idx: Vec<[u32; PortDir::COUNT]>,
-    routers: Vec<Router>,
+    /// Coordinate of each tile, row-major.
+    coords: Vec<Coord>,
+    /// Router state, `ports[tile * PORTS + port]`.
+    ports: Vec<Port>,
+    /// Input FIFO storage: the FIFO of (tile, port) `tp` is a ring over
+    /// `fifo[tp * cap .. (tp + 1) * cap]`.
+    fifo: Vec<FlitRef>,
+    /// Capacity of each input FIFO, in flits.
+    cap: u32,
+    /// Per tile, the bitmask of inputs whose front flit is a head.
+    head_inputs: Vec<u8>,
+    /// Bitmask of tiles with a non-zero `head_inputs` (one u64 word per
+    /// 64 tiles): arbitration visits only these.
+    head_tiles: Vec<u64>,
+    /// Open wormholes: `tile * PORTS + output` of every owned output.
+    wormholes: Vec<u32>,
+    /// This tick's moves, `(tile * PORTS + output) << 3 | input`.
+    moves: Vec<u32>,
+    /// This tick's credit stalls, `tile * PORTS + output` (traced ticks
+    /// only).
+    stalls: Vec<u32>,
     /// Per-tile source (injection) queues. Unbounded: they model the
     /// sending engine's own buffering; occupancy is observable so
     /// experiments can detect source-queue growth (= saturation).
-    source: Vec<VecDeque<Flit>>,
-    /// Per-tile ejection buffers, bounded in practice by Local credits.
-    ejection: Vec<VecDeque<Flit>>,
-    /// Send timestamps for in-flight messages (for latency accounting).
-    in_flight: HashMap<MessageId, Cycle>,
+    source: Vec<VecDeque<FlitRef>>,
+    /// Per-tile ejection buffers, bounded by Local credits.
+    ejection: Vec<VecDeque<FlitRef>>,
+    /// In-flight messages by slot; `None` marks a free slot.
+    slab: Vec<Option<Parked>>,
+    /// Free slab slots.
+    free_slots: Vec<u32>,
     stats: NetworkStats,
     /// Trace handle (disabled by default; see [`MeshNetwork::attach_tracer`]).
     tracer: Tracer,
-    /// Per-tile trace tracks (`noc.router(x,y)`), parallel to `routers`.
+    /// Per-tile trace tracks (`noc.router(x,y)`).
     tracks: Vec<TrackId>,
     /// Fault-injection state; `None` (no cost, no metrics) until a
     /// `fault_*` method is called.
     faults: Option<Box<NetFaults>>,
-    /// Free-list arena for the boxed message copies tail flits carry;
-    /// keeps the steady-state send/eject path allocation-free.
-    pool: MessagePool,
-    /// Per-router switch-allocation plans reused every cycle (phase 1
-    /// writes, phase 2 executes). Hoisted out of [`MeshNetwork::tick`]
-    /// so the hot loop performs no per-cycle allocation.
-    plan_scratch: Vec<RoutePlan>,
-    /// Tiles whose router computed this cycle (phase 2 only visits
-    /// these; idle routers stage nothing and are skipped entirely).
-    touched_scratch: Vec<u32>,
     /// Bitmask of tiles whose source queue is non-empty (one u64 word
     /// per 64 tiles), so injection visits only tiles with traffic.
     source_pending: Vec<u64>,
@@ -172,6 +283,8 @@ pub struct MeshNetwork {
     /// layout as `source_pending`, so the NIC's ejection pass visits
     /// only tiles with a flit waiting.
     ejection_pending: Vec<u64>,
+    /// Flits forwarded through any output (flit-hops).
+    flit_hops: u64,
     /// Flits currently anywhere in the network (sources, router
     /// buffers, ejection buffers) — O(1) quiescence.
     resident_flits: u64,
@@ -183,54 +296,71 @@ impl MeshNetwork {
     /// Builds the network. `placement` must place every engine that
     /// will ever be addressed; tiles without engines simply route
     /// through.
+    ///
+    /// # Panics
+    /// Panics if `config.router.input_buffer_flits` is zero — a
+    /// zero-capacity input FIFO can never make progress (lint PV102).
     #[must_use]
     pub fn new(config: NetworkConfig, placement: Placement) -> MeshNetwork {
-        let routers = config
-            .topology
-            .coords()
-            .map(|c| Router::new(c, config.topology, config.router))
-            .collect();
-        let n = config.topology.nodes();
-        let lut = RouteLut::build(&placement, config.topology);
-        let neighbor_idx = config
-            .topology
-            .coords()
+        let rc = config.router;
+        assert!(rc.input_buffer_flits > 0, "zero-capacity input FIFO");
+        let topo = config.topology;
+        let n = topo.nodes();
+        let coords: Vec<Coord> = topo.coords().collect();
+        let ports = coords
+            .iter()
             .enumerate()
-            .map(|(tile, c)| {
-                let mut row = [u32::MAX; PortDir::COUNT];
-                for &p in &PortDir::ALL {
-                    row[p.index()] = match p.direction() {
-                        Some(d) => config
-                            .topology
-                            .neighbor(c, d)
-                            .map_or(u32::MAX, |nc| config.topology.index(nc) as u32),
-                        None => tile as u32,
+            .flat_map(|(tile, &c)| {
+                PortDir::ALL.map(|p| {
+                    let (down, credit_init) = match p.direction() {
+                        Some(d) => topo.neighbor(c, d).map_or((NO_LINK, 0), |nc| {
+                            (topo.index(nc) as u32, rc.input_buffer_flits as u32)
+                        }),
+                        None => (tile as u32, rc.ejection_buffer_flits as u32),
                     };
-                }
-                row
+                    Port {
+                        head: 0,
+                        len: 0,
+                        route: 0,
+                        owner: NO_OWNER,
+                        rr: 0,
+                        blocked: false,
+                        credit: credit_init,
+                        credit_init,
+                        down,
+                    }
+                })
             })
             .collect();
-        // Ejection occupancy is bounded by the Local credit pool, so
-        // the buffers can be sized once and never grow.
-        let eject_cap = config.router.ejection_buffer_flits + 1;
+        let lut = RouteLut::build(&placement, topo);
         MeshNetwork {
             config,
             placement,
             lut,
-            neighbor_idx,
-            routers,
+            coords,
+            ports,
+            fifo: vec![FlitRef::EMPTY; n * PORTS * rc.input_buffer_flits],
+            cap: rc.input_buffer_flits as u32,
+            head_inputs: vec![0; n],
+            head_tiles: vec![0; n.div_ceil(64)],
+            wormholes: Vec::with_capacity(n * PORTS),
+            moves: Vec::with_capacity(n * PORTS),
+            stalls: Vec::new(),
             source: (0..n).map(|_| VecDeque::new()).collect(),
-            ejection: (0..n).map(|_| VecDeque::with_capacity(eject_cap)).collect(),
-            in_flight: HashMap::new(),
+            // Ejection occupancy is bounded by the Local credit pool,
+            // so the buffers are sized once and never grow.
+            ejection: (0..n)
+                .map(|_| VecDeque::with_capacity(rc.ejection_buffer_flits))
+                .collect(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
             stats: NetworkStats::new(),
             tracer: Tracer::disabled(),
             tracks: Vec::new(),
             faults: None,
-            pool: MessagePool::new(),
-            plan_scratch: vec![RoutePlan::default(); n],
-            source_pending: vec![0u64; n.div_ceil(64)],
-            ejection_pending: vec![0u64; n.div_ceil(64)],
-            touched_scratch: Vec::with_capacity(n),
+            source_pending: vec![0; n.div_ceil(64)],
+            ejection_pending: vec![0; n.div_ceil(64)],
+            flit_hops: 0,
             resident_flits: 0,
             active_cycles: 0,
         }
@@ -244,9 +374,8 @@ impl MeshNetwork {
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = tracer.clone();
         self.tracks = self
-            .config
-            .topology
-            .coords()
+            .coords
+            .iter()
             .map(|c| self.tracer.track(&format!("noc.router{c}")))
             .collect();
     }
@@ -345,7 +474,13 @@ impl MeshNetwork {
         until: Cycle,
     ) -> usize {
         let tile = self.tile_of(engine);
-        let taken = self.routers[tile].fault_take_credits(port, n);
+        let p = &mut self.ports[tile * PORTS + port.index()];
+        let taken = if p.credit_init == 0 {
+            0
+        } else {
+            (p.credit as usize).min(n)
+        };
+        p.credit -= taken as u32;
         if taken > 0 {
             self.faults_mut().holds.push(CreditHold {
                 tile,
@@ -371,8 +506,8 @@ impl MeshNetwork {
     }
 
     /// Messages destroyed by injected ejection drops, attributed to
-    /// `tenant` via the flit tenant tag (0 when no fault API has been
-    /// used or the tenant never lost a message).
+    /// `tenant` via the message's tenant tag (0 when no fault API has
+    /// been used or the tenant never lost a message).
     #[must_use]
     pub fn lost_of(&self, tenant: TenantId) -> u64 {
         self.faults
@@ -391,19 +526,26 @@ impl MeshNetwork {
         // off-period cycles.
         faults.slow.retain(|s| {
             if now >= s.until {
-                self.routers[s.tile].set_fault_blocked(s.port, false);
+                self.ports[s.tile * PORTS + s.port.index()].blocked = false;
                 false
             } else {
                 true
             }
         });
         for s in &faults.slow {
-            self.routers[s.tile].set_fault_blocked(s.port, !now.0.is_multiple_of(s.period));
+            self.ports[s.tile * PORTS + s.port.index()].blocked = !now.0.is_multiple_of(s.period);
         }
         // Elapsed credit holds hand their credits back.
         faults.holds.retain(|h| {
             if now >= h.until {
-                self.routers[h.tile].fault_return_credits(h.port, h.taken);
+                let p = &mut self.ports[h.tile * PORTS + h.port.index()];
+                assert!(p.credit_init > 0, "credit return on a port with no link");
+                assert!(
+                    p.credit + h.taken as u32 <= p.credit_init,
+                    "credit overflow: refill beyond initial {}",
+                    p.credit_init
+                );
+                p.credit += h.taken as u32;
                 false
             } else {
                 true
@@ -419,27 +561,50 @@ impl MeshNetwork {
             .unwrap_or_else(|| panic!("engine {engine} not placed"))
     }
 
-    /// Queues `msg` for transmission from `from` toward
-    /// `msg.next_engine()` (or `to` explicitly). Segments into flits at
-    /// the configured channel width.
+    /// Queues `msg` for transmission from `from` toward `to`. Segments
+    /// into flits at the configured channel width.
     ///
     /// # Panics
     /// Panics if either engine is not placed.
     pub fn send(&mut self, from: EngineId, to: EngineId, msg: Message, now: Cycle) {
         let tile = self.tile_of(from);
-        // Destination must be resolvable at send time; `tile_of` panics
-        // on unplaced destinations when routing, so check here where
-        // the error is attributable to the sender.
-        let _ = self.tile_of(to);
-        self.in_flight.insert(msg.id, now);
+        // Resolve the destination at send time, where an unplaced
+        // engine is attributable to the sender.
+        let dest = self.coords[self.tile_of(to)];
         self.stats.injected_messages += 1;
-        let source = &mut self.source[tile];
-        let before = source.len();
-        Flit::segment_with(msg, to, self.config.width_bits, &mut self.pool, |flit| {
-            source.push_back(flit);
-        });
-        self.resident_flits += (source.len() - before) as u64;
+        let flits = Flit::segment(&msg, to, self.config.width_bits);
+        self.resident_flits += flits.len() as u64;
+        let slot = self.park(msg, now);
+        self.source[tile].extend(flits.map(|f| FlitRef {
+            slot,
+            dest,
+            kind: f.kind,
+        }));
         self.source_pending[tile / 64] |= 1 << (tile % 64);
+    }
+
+    /// Stores `msg` in a free slab slot.
+    fn park(&mut self, msg: Message, sent: Cycle) -> u32 {
+        let parked = Some(Parked { msg, sent });
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = parked;
+                slot
+            }
+            None => {
+                self.slab.push(parked);
+                (self.slab.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Takes the message out of `slot` and frees the slot.
+    fn unpark(&mut self, slot: u32) -> Parked {
+        let parked = self.slab[slot as usize]
+            .take()
+            .expect("flit names a parked message");
+        self.free_slots.push(slot);
+        parked
     }
 
     /// Flits waiting in `engine`'s source queue (growth here means the
@@ -472,6 +637,22 @@ impl MeshNetwork {
         self.ejection_pending.len()
     }
 
+    /// Consumes one armed ejection drop at `tile`, if any.
+    fn take_armed_drop(&mut self, tile: usize) -> bool {
+        let Some(armed) = self
+            .faults
+            .as_deref_mut()
+            .and_then(|f| f.drop_armed.get_mut(&tile))
+        else {
+            return false;
+        };
+        if *armed == 0 {
+            return false;
+        }
+        *armed -= 1;
+        true
+    }
+
     /// Drains one flit from `engine`'s ejection buffer (the tile's
     /// one-flit-per-cycle RX interface). Returns the assembled message
     /// when the drained flit is a tail.
@@ -486,52 +667,31 @@ impl MeshNetwork {
         // earlier flits of the message were drained and credited
         // normally) and leak the tail's Local credit — the canonical
         // lost-packet-plus-leaked-credit failure.
-        if flit.kind.is_tail() {
-            if let Some(faults) = self.faults.as_deref_mut() {
-                if let Some(armed) = faults.drop_armed.get_mut(&tile) {
-                    if *armed > 0 {
-                        *armed -= 1;
-                        faults.lost_messages += 1;
-                        faults.leaked_credits += 1;
-                        *faults.lost_by_tenant.entry(flit.tenant).or_insert(0) += 1;
-                        let msg = flit.take_message(&mut self.pool);
-                        self.in_flight.remove(&msg.id);
-                        if self.tracer.enabled() {
-                            self.tracer.instant_arg(
-                                self.tracks[tile],
-                                "fault.drop",
-                                now,
-                                "msg",
-                                msg.id.0,
-                            );
-                        }
-                        return None;
-                    }
-                }
+        if flit.kind.is_tail() && self.take_armed_drop(tile) {
+            let msg = self.unpark(flit.slot).msg;
+            let faults = self.faults.as_deref_mut().expect("drop was armed");
+            faults.lost_messages += 1;
+            faults.leaked_credits += 1;
+            *faults.lost_by_tenant.entry(msg.tenant).or_insert(0) += 1;
+            if self.tracer.enabled() {
+                self.tracer
+                    .instant_arg(self.tracks[tile], "fault.drop", now, "msg", msg.id.0);
             }
+            return None;
         }
-        self.routers[tile].refill_credit(PortDir::Local);
-        if flit.kind.is_tail() {
-            let msg = flit.take_message(&mut self.pool);
-            if let Some(sent) = self.in_flight.remove(&msg.id) {
-                let dur = now.since(sent);
-                self.stats.latency.record(dur.count());
-                if self.tracer.enabled() {
-                    self.tracer.complete_arg(
-                        self.tracks[tile],
-                        "noc.msg",
-                        sent,
-                        dur,
-                        "msg",
-                        msg.id.0,
-                    );
-                }
-            }
-            self.stats.delivered_messages += 1;
-            Some(msg)
-        } else {
-            None
+        self.refill_credit(tile, LOCAL);
+        if !flit.kind.is_tail() {
+            return None;
         }
+        let Parked { msg, sent } = self.unpark(flit.slot);
+        let dur = now.since(sent);
+        self.stats.latency.record(dur.count());
+        if self.tracer.enabled() {
+            self.tracer
+                .complete_arg(self.tracks[tile], "noc.msg", sent, dur, "msg", msg.id.0);
+        }
+        self.stats.delivered_messages += 1;
+        Some(msg)
     }
 
     /// Drains everything already in `engine`'s ejection buffer,
@@ -547,16 +707,118 @@ impl MeshNetwork {
         out
     }
 
+    /// Returns one credit to output `port` of `tile` (its downstream
+    /// buffer drained a flit).
+    ///
+    /// # Panics
+    /// Panics if the port has no link, or if the refill would exceed
+    /// the downstream buffer's capacity — a phantom credit means the
+    /// flow control protocol double-counted a drain.
+    #[inline]
+    fn refill_credit(&mut self, tile: usize, port: usize) {
+        let p = &mut self.ports[tile * PORTS + port];
+        assert!(p.credit_init > 0, "credit refill on a port with no link");
+        assert!(
+            p.credit < p.credit_init,
+            "credit overflow: refill beyond initial {}",
+            p.credit_init
+        );
+        p.credit += 1;
+    }
+
+    /// Records that the front of input (`tile`, `port`) is a head flit
+    /// bound for `dest`: computes its XY output once and flags the
+    /// input for arbitration.
+    #[inline]
+    fn mark_head_front(&mut self, tile: usize, port: usize, dest: Coord) {
+        let route = match self.config.topology.route_xy(self.coords[tile], dest) {
+            Some(d) => PortDir::from_direction(d).index(),
+            None => LOCAL,
+        };
+        self.ports[tile * PORTS + port].route = route as u8;
+        self.head_inputs[tile] |= 1 << port;
+        self.head_tiles[tile / 64] |= 1 << (tile % 64);
+    }
+
+    /// Clears the head-front flag of input (`tile`, `port`).
+    #[inline]
+    fn clear_head_front(&mut self, tile: usize, port: usize) {
+        self.head_inputs[tile] &= !(1 << port);
+        if self.head_inputs[tile] == 0 {
+            self.head_tiles[tile / 64] &= !(1 << (tile % 64));
+        }
+    }
+
+    /// Delivers `flit` into the input FIFO of (`tile`, `port`).
+    ///
+    /// # Panics
+    /// Panics if the FIFO is full — with credit flow control a delivery
+    /// into a full buffer is a protocol violation, not backpressure.
+    #[inline]
+    pub(crate) fn push_input(&mut self, tile: usize, port: usize, flit: FlitRef) {
+        let tp = tile * PORTS + port;
+        let cap = self.cap;
+        let p = &mut self.ports[tp];
+        if p.len >= cap {
+            panic!(
+                "router {}: input overrun on {:?} (credit protocol violated)",
+                self.coords[tile],
+                PortDir::ALL[port]
+            );
+        }
+        let mut off = p.head + p.len;
+        if off >= cap {
+            off -= cap;
+        }
+        p.len += 1;
+        let front = p.len == 1;
+        self.fifo[tp * cap as usize + off as usize] = flit;
+        if front && flit.kind.is_head() {
+            self.mark_head_front(tile, port, flit.dest);
+        }
+    }
+
+    /// Pops the front flit of input (`tile`, `port`), which must be
+    /// non-empty, and refreshes the input's head-front flag.
+    #[inline]
+    fn pop_input(&mut self, tile: usize, port: usize) -> FlitRef {
+        let tp = tile * PORTS + port;
+        let base = tp * self.cap as usize;
+        let p = &mut self.ports[tp];
+        debug_assert!(p.len > 0, "pop from an empty input FIFO");
+        let flit = self.fifo[base + p.head as usize];
+        // Conditional wrap instead of `%`: `cap` is a runtime value, so
+        // a modulo here would be a hardware divide on the hottest path.
+        p.head = if p.head + 1 == self.cap {
+            0
+        } else {
+            p.head + 1
+        };
+        p.len -= 1;
+        let next = (p.len > 0).then(|| self.fifo[base + p.head as usize]);
+        match next {
+            Some(next) if next.kind.is_head() => self.mark_head_front(tile, port, next.dest),
+            _ if flit.kind.is_head() => self.clear_head_front(tile, port),
+            _ => {}
+        }
+        flit
+    }
+
+    /// Kind of the front flit of input `tp`.
+    #[inline]
+    fn front_kind(&self, tp: usize) -> FlitKind {
+        self.fifo[tp * self.cap as usize + self.ports[tp].head as usize].kind
+    }
+
     /// Advances the network one cycle.
     pub fn tick(&mut self, now: Cycle) {
         if self.faults.is_some() {
             self.drive_faults(now);
         }
-        if self.resident_flits > 0 {
-            self.active_cycles += 1;
+        if self.resident_flits == 0 {
+            return;
         }
-        let n = self.routers.len();
-        let topo = self.config.topology;
+        self.active_cycles += 1;
         let traced = self.tracer.enabled();
 
         // Injection: each tile's Local input accepts at most one flit
@@ -568,9 +830,9 @@ impl MeshNetwork {
             while bits != 0 {
                 let tile = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.routers[tile].input_space(PortDir::Local) > 0 {
+                if self.ports[tile * PORTS + LOCAL].len < self.cap {
                     let flit = self.source[tile].pop_front().expect("non-empty");
-                    self.routers[tile].accept(PortDir::Local, flit);
+                    self.push_input(tile, LOCAL, flit);
                     if self.source[tile].is_empty() {
                         self.source_pending[word] &= !(1 << (tile % 64));
                     }
@@ -578,78 +840,180 @@ impl MeshNetwork {
             }
         }
 
-        // Phase 1: routers holding flits allocate and stage into the
-        // reused per-router scratch buffers (no per-cycle allocation).
-        // An idle router (all input FIFOs empty) can stage neither a
-        // flit, a credit return, nor a stall, so it is skipped and its
-        // scratch entry — consumed by its last commit — stays clean.
-        let mut plans = std::mem::take(&mut self.plan_scratch);
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        debug_assert_eq!(plans.len(), n);
-        touched.clear();
-        for (tile, (r, p)) in self.routers.iter_mut().zip(plans.iter_mut()).enumerate() {
-            if r.is_idle() {
-                continue;
-            }
-            r.plan_into(topo, &self.lut, p, traced);
-            touched.push(tile as u32);
-        }
+        // Decide every move from pre-tick state. Arbitration only sees
+        // outputs that no wormhole held at the start of the cycle;
+        // wormholes it opens join the list after the ones continuation
+        // walks.
+        let open = self.wormholes.len();
+        self.arbitrate(traced);
+        self.continue_wormholes(open, traced);
+        self.commit(now, traced);
+    }
 
-        // Phase 2: execute the plans — move each winning flit straight
-        // from its input FIFO to the downstream buffer (one move per
-        // hop) and return one credit to the upstream router it vacated.
-        for &tile_u in &touched {
-            let tile = tile_u as usize;
-            let plan = plans[tile];
-            // Credit stalls: outputs that wanted to send but were
-            // blocked by a full downstream buffer.
-            if traced {
-                for (p, &s) in plan.stalled.iter().enumerate() {
-                    if s {
-                        self.tracer.instant_arg(
-                            self.tracks[tile],
-                            "noc.credit_stall",
-                            now,
-                            "port",
-                            p as u64,
-                        );
+    /// Step 2: round-robin switch allocation at every tile with a head
+    /// flit at an input front, for outputs no wormhole holds.
+    fn arbitrate(&mut self, traced: bool) {
+        for word in 0..self.head_tiles.len() {
+            let mut bits = self.head_tiles[word];
+            while bits != 0 {
+                let tile = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let base = tile * PORTS;
+                // want[o]: inputs whose head flit routes to output o.
+                let mut want = [0u32; PORTS];
+                let mut heads = self.head_inputs[tile];
+                while heads != 0 {
+                    let i = heads.trailing_zeros() as usize;
+                    heads &= heads - 1;
+                    want[usize::from(self.ports[base + i].route)] |= 1 << i;
+                }
+                for (o, &b) in want.iter().enumerate() {
+                    let tp = base + o;
+                    let out = self.ports[tp];
+                    // A held output carries its wormhole; heads wait
+                    // for the tail. No link: the output idles.
+                    if b == 0 || out.owner != NO_OWNER || out.credit_init == 0 {
+                        continue;
                     }
-                }
-            }
-            for (o, winner) in plan.winner.iter().enumerate() {
-                let Some(i) = winner else { continue };
-                let i = usize::from(*i);
-                let flit = self.routers[tile].commit_pop(i);
-                // Credit return to the upstream router the flit vacated
-                // (Local input drains come from the source queue, which
-                // is not credited).
-                if i != PortDir::Local.index() {
-                    let up_idx = self.neighbor_idx[tile][i];
-                    debug_assert_ne!(up_idx, u32::MAX, "credit from a port with no link");
-                    self.routers[up_idx as usize].refill_credit(PortDir::ALL[i].opposite());
-                }
-                if traced {
-                    self.tracer.instant_arg(
-                        self.tracks[tile],
-                        "noc.hop",
-                        now,
-                        "msg",
-                        flit.msg_id.0,
-                    );
-                }
-                if o == PortDir::Local.index() {
-                    self.stats.delivered_flits += 1;
-                    self.ejection[tile].push_back(flit);
-                    self.ejection_pending[tile / 64] |= 1 << (tile % 64);
-                } else {
-                    let down_idx = self.neighbor_idx[tile][o];
-                    debug_assert_ne!(down_idx, u32::MAX, "staged flit toward a missing link");
-                    self.routers[down_idx as usize].accept(PortDir::ALL[o].opposite(), flit);
+                    if out.credit == 0 || out.blocked {
+                        // Out of credits (or fault-masked) with traffic
+                        // waiting: a credit stall, not an idle port.
+                        if traced {
+                            self.stalls.push(tp as u32);
+                        }
+                        continue;
+                    }
+                    // First candidate at or after rr[o]: a 5-bit rotate
+                    // instead of a scan.
+                    let r = u32::from(out.rr);
+                    let rot = ((b >> r) | (b << (PORTS as u32 - r))) & ((1 << PORTS) - 1);
+                    let i = (usize::from(out.rr) + rot.trailing_zeros() as usize) % PORTS;
+                    let kind = self.front_kind(base + i);
+                    let out = &mut self.ports[tp];
+                    if kind.is_tail() {
+                        out.rr = ((i + 1) % PORTS) as u8;
+                    } else {
+                        out.owner = i as u8;
+                        self.wormholes.push(tp as u32);
+                    }
+                    out.credit -= 1;
+                    self.moves.push((tp as u32) << 3 | i as u32);
+                    self.flit_hops += 1;
                 }
             }
         }
-        self.plan_scratch = plans;
-        self.touched_scratch = touched;
+    }
+
+    /// Step 3: each of the first `open` wormholes (those open at the
+    /// start of the cycle) moves its owner input's next flit if the
+    /// output has a credit; a tail closes the wormhole.
+    fn continue_wormholes(&mut self, open: usize, traced: bool) {
+        let mut kept = 0;
+        for k in 0..open {
+            let tp = self.wormholes[k] as usize;
+            let i = usize::from(self.ports[tp].owner);
+            let itp = tp - tp % PORTS + i;
+            let mut closed = false;
+            if self.ports[itp].len > 0 {
+                let kind = self.front_kind(itp);
+                let out = &mut self.ports[tp];
+                if out.credit == 0 || out.blocked {
+                    if traced {
+                        self.stalls.push(tp as u32);
+                    }
+                } else {
+                    out.credit -= 1;
+                    if kind.is_tail() {
+                        out.owner = NO_OWNER;
+                        out.rr = ((i + 1) % PORTS) as u8;
+                        closed = true;
+                    }
+                    self.moves.push((tp as u32) << 3 | i as u32);
+                    self.flit_hops += 1;
+                }
+            }
+            if !closed {
+                self.wormholes[kept] = tp as u32;
+                kept += 1;
+            }
+        }
+        let len = self.wormholes.len();
+        self.wormholes.copy_within(open..len, kept);
+        self.wormholes.truncate(kept + len - open);
+    }
+
+    /// Step 4: applies the move list — each flit goes straight from its
+    /// input FIFO to the downstream buffer, and one credit returns to
+    /// the upstream router it vacated.
+    fn commit(&mut self, now: Cycle, traced: bool) {
+        let mut moves = std::mem::take(&mut self.moves);
+        let mut stalls = std::mem::take(&mut self.stalls);
+        if traced {
+            moves.sort_unstable();
+            stalls.sort_unstable();
+        }
+        let mut next_stall = 0;
+        for &mv in &moves {
+            let tp = (mv >> 3) as usize;
+            let i = (mv & 7) as usize;
+            let (tile, o) = (tp / PORTS, tp % PORTS);
+            if traced {
+                next_stall = self.emit_stalls(&stalls, next_stall, tile, now);
+            }
+            let flit = self.pop_input(tile, i);
+            // Credit return to the upstream router the flit vacated
+            // (Local input drains come from the source queue, which is
+            // not credited).
+            if i != LOCAL {
+                let up = self.ports[tile * PORTS + i].down;
+                debug_assert_ne!(up, NO_LINK, "credit from a port with no link");
+                self.refill_credit(up as usize, OPPOSITE[i]);
+            }
+            if traced {
+                let id = self.slab[flit.slot as usize]
+                    .as_ref()
+                    .map_or(u64::MAX, |p| p.msg.id.0);
+                self.tracer
+                    .instant_arg(self.tracks[tile], "noc.hop", now, "msg", id);
+            }
+            if o == LOCAL {
+                self.stats.delivered_flits += 1;
+                self.ejection[tile].push_back(flit);
+                self.ejection_pending[tile / 64] |= 1 << (tile % 64);
+            } else {
+                let down = self.ports[tp].down;
+                debug_assert_ne!(down, NO_LINK, "move toward a missing link");
+                self.push_input(down as usize, OPPOSITE[o], flit);
+            }
+        }
+        if traced {
+            self.emit_stalls(&stalls, next_stall, usize::MAX, now);
+        }
+        moves.clear();
+        stalls.clear();
+        self.moves = moves;
+        self.stalls = stalls;
+    }
+
+    /// Emits the `noc.credit_stall` instants of `stalls[next..]` at
+    /// tiles up to `upto_tile`; returns the index of the first one not
+    /// emitted.
+    fn emit_stalls(&self, stalls: &[u32], mut next: usize, upto_tile: usize, now: Cycle) -> usize {
+        while let Some(&tp) = stalls.get(next) {
+            let (tile, port) = (tp as usize / PORTS, tp as usize % PORTS);
+            if tile > upto_tile {
+                break;
+            }
+            self.tracer.instant_arg(
+                self.tracks[tile],
+                "noc.credit_stall",
+                now,
+                "port",
+                port as u64,
+            );
+            next += 1;
+        }
+        next
     }
 
     /// Fast-forward hint (see [`sim_core::Clocked::next_activity`] for
@@ -676,10 +1040,10 @@ impl MeshNetwork {
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         debug_assert_eq!(
-            self.resident_flits == 0,
-            self.source.iter().all(VecDeque::is_empty)
-                && self.ejection.iter().all(VecDeque::is_empty)
-                && self.routers.iter().all(|r| r.buffered_flits() == 0),
+            self.resident_flits,
+            self.source.iter().map(|q| q.len() as u64).sum::<u64>()
+                + self.ports.iter().map(|p| u64::from(p.len)).sum::<u64>()
+                + self.ejection.iter().map(|q| q.len() as u64).sum::<u64>(),
             "resident-flit counter out of sync with buffer occupancy"
         );
         self.resident_flits == 0
@@ -696,7 +1060,7 @@ impl MeshNetwork {
     /// Total flits forwarded by all routers (≈ flit-hops).
     #[must_use]
     pub fn total_flit_hops(&self) -> u64 {
-        self.routers.iter().map(Router::flits_forwarded).sum()
+        self.flit_hops
     }
 
     /// Coordinate of `engine`'s tile.
@@ -710,7 +1074,7 @@ impl MeshNetwork {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use packet::{MessageBuilder, MessageKind};
+    use packet::{MessageBuilder, MessageId, MessageKind};
     use sim_core::rng::SimRng;
 
     fn msg(id: u64, payload: usize) -> Message {
@@ -1104,5 +1468,30 @@ mod tests {
             plain.stats().delivered_flits
         );
         assert_eq!(traced.total_flit_hops(), plain.total_flit_hops());
+    }
+
+    #[test]
+    fn slab_reuses_slots_and_preserves_messages() {
+        let mut net = net_3x3();
+        let mut now = Cycle(0);
+        for id in 0..20 {
+            let payload = Bytes::from(vec![id as u8; 40 + id as usize]);
+            let m = Message::builder(MessageId(id), MessageKind::EthernetFrame)
+                .payload(payload.clone())
+                .build();
+            net.send(EngineId(0), EngineId(8), m, now);
+            let got = loop {
+                net.tick(now);
+                now = now.next();
+                if let Some(m) = net.poll_ejected(EngineId(8), now) {
+                    break m;
+                }
+            };
+            assert_eq!((got.id, got.payload), (MessageId(id), payload));
+            // One message in flight at a time: its slot is freed at
+            // the tail and reused by the next send.
+            assert_eq!(net.slab.len(), 1);
+            assert_eq!(net.free_slots, vec![0]);
+        }
     }
 }

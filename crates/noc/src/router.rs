@@ -1,4 +1,4 @@
-//! The per-tile wormhole router.
+//! The per-tile wormhole router model: its ports and buffer sizing.
 //!
 //! Figure 3a/3c: every engine tile contains a router; routers connect
 //! to their four mesh neighbors plus the local engine. The model is a
@@ -14,14 +14,12 @@
 //! * one flit per output per cycle, one cycle per hop (§3.1.2: "the
 //!   routers add one cycle of latency at each hop").
 //!
-//! The router stages its decisions in [`Router::compute`]; the owning
-//! [`MeshNetwork`](crate::network::MeshNetwork) moves staged flits and
-//! credits between routers in the commit phase, preserving the
-//! two-phase discipline of [`sim_core::clock`].
+//! The router state of every tile lives in flat per-(tile, port)
+//! arrays inside [`MeshNetwork`](crate::network::MeshNetwork), which
+//! steps all routers at once by open wormholes and commits each cycle
+//! in two phases, preserving the discipline of [`sim_core::clock`].
 
-use packet::{EngineId, Flit};
-
-use crate::topology::{Coord, Direction, RouteLut, Topology};
+use crate::topology::Direction;
 
 /// A router port: four mesh directions plus the local engine port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +51,7 @@ impl PortDir {
 
     /// Dense index for per-port arrays.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             PortDir::North => 0,
             PortDir::South => 1,
@@ -89,10 +87,13 @@ impl PortDir {
     /// The port on which a neighbor receives a flit sent out of this
     /// port (the opposite side).
     #[must_use]
-    pub fn opposite(self) -> PortDir {
-        match self.direction() {
-            Some(d) => PortDir::from_direction(d.opposite()),
-            None => PortDir::Local,
+    pub const fn opposite(self) -> PortDir {
+        match self {
+            PortDir::North => PortDir::South,
+            PortDir::South => PortDir::North,
+            PortDir::East => PortDir::West,
+            PortDir::West => PortDir::East,
+            PortDir::Local => PortDir::Local,
         }
     }
 }
@@ -118,522 +119,89 @@ impl Default for RouterConfig {
     }
 }
 
-/// One cycle's staged output from a router: a flit leaving through each
-/// output port, and credits to return upstream for each input that
-/// drained a flit.
-#[derive(Debug, Default)]
-pub struct StagedOutputs {
-    /// `staged[p]`: flit leaving through port `p` this cycle.
-    pub flits: [Option<Flit>; PortDir::COUNT],
-    /// `credits[p]`: true if input port `p` drained a flit this cycle
-    /// (one credit to return to the upstream on that side).
-    pub credits: [bool; PortDir::COUNT],
-    /// `stalled[p]`: true if output port `p` had traffic that wanted to
-    /// leave this cycle but was blocked by exhausted credits (the
-    /// downstream buffer is full). The network surfaces these as
-    /// `noc.credit_stall` trace events; they are the per-hop signature
-    /// of head-of-line blocking and backpressure (§3.1.2).
-    pub stalled: [bool; PortDir::COUNT],
-}
-
-impl StagedOutputs {
-    /// Resets to the empty (all-idle) state so the buffer can be reused
-    /// next cycle without reallocating.
-    pub fn clear(&mut self) {
-        for f in &mut self.flits {
-            *f = None;
-        }
-        self.credits = [false; PortDir::COUNT];
-        self.stalled = [false; PortDir::COUNT];
-    }
-}
-
-/// One cycle's switch-allocation decisions, by reference: `winner[o]`
-/// names the input whose front flit traverses output `o` this cycle.
-///
-/// This is the hot-path counterpart of [`StagedOutputs`]: instead of
-/// popping flits into a staging buffer during the compute phase (one
-/// flit copy in, one out), the router only records *which* input won
-/// each output and the network moves each flit once, straight from the
-/// winning input FIFO to the downstream buffer, in the commit phase.
-/// Credits to return upstream are implied (`winner[o] == Some(i)`
-/// means input `i` drained one flit).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoutePlan {
-    /// `winner[o]`: input index draining through output port `o`.
-    pub winner: [Option<u8>; PortDir::COUNT],
-    /// `stalled[o]`: output `o` had traffic blocked on credits (see
-    /// [`StagedOutputs::stalled`]); recorded only when the caller asks.
-    pub stalled: [bool; PortDir::COUNT],
-}
-
-/// The wormhole router at one tile.
-///
-/// Input FIFOs and credit counters are stored flat — one contiguous
-/// flit arena for all five inputs and plain per-port count arrays —
-/// instead of one heap queue per port. The mesh ticks every non-idle
-/// router every cycle, so router state is the hottest data in the
-/// simulator and pointer-chasing five scattered `VecDeque`s per router
-/// dominated the tick loop before this layout (see `docs/PERF.md`).
-#[derive(Debug)]
-pub struct Router {
-    coord: Coord,
-    /// Flit storage for all five input FIFOs: input `i` is a ring
-    /// buffer over `buf[i * cap .. (i + 1) * cap]`.
-    buf: Box<[Option<Flit>]>,
-    /// Capacity of each input FIFO, in flits.
-    cap: u32,
-    /// Ring head (index of the oldest flit) per input, relative to the
-    /// input's slice of `buf`.
-    head: [u32; PortDir::COUNT],
-    /// Current occupancy per input.
-    len: [u32; PortDir::COUNT],
-    /// Credits toward each downstream buffer per output port.
-    credit: [u32; PortDir::COUNT],
-    /// Initial (maximum) credit count per output; `0` where no link
-    /// exists (mesh edge) — a real link always has a non-zero buffer
-    /// (lint PV102).
-    credit_init: [u32; PortDir::COUNT],
-    /// Wormhole ownership: input index currently holding each output.
-    out_owner: [Option<usize>; PortDir::COUNT],
-    /// Round-robin pointer per output port.
-    rr: [usize; PortDir::COUNT],
-    /// Flits forwarded (any output) over the router's lifetime.
-    forwarded: u64,
-    /// Fault injection: outputs masked off this cycle (link-slowdown
-    /// faults). A blocked output behaves exactly like one with no
-    /// credits — traffic wanting it stalls, credits are conserved.
-    /// All-false by default; the fault-free path pays one bool read
-    /// per output per cycle.
-    blocked: [bool; PortDir::COUNT],
-}
-
-impl Router {
-    /// Builds the router for tile `coord` of `topology`.
-    ///
-    /// # Panics
-    /// Panics if `config.input_buffer_flits` is zero — a zero-capacity
-    /// input FIFO can never make progress (lint PV102).
-    #[must_use]
-    pub fn new(coord: Coord, topology: Topology, config: RouterConfig) -> Router {
-        assert!(config.input_buffer_flits > 0, "zero-capacity input FIFO");
-        let cap = config.input_buffer_flits;
-        let buf = std::iter::repeat_with(|| None)
-            .take(cap * PortDir::COUNT)
-            .collect();
-        let mut credit_init = [0u32; PortDir::COUNT];
-        for (p, init) in credit_init.iter_mut().enumerate() {
-            *init = match PortDir::ALL[p].direction() {
-                Some(d) => match topology.neighbor(coord, d) {
-                    Some(_) => config.input_buffer_flits as u32,
-                    None => 0,
-                },
-                None => config.ejection_buffer_flits as u32,
-            };
-        }
-        Router {
-            coord,
-            buf,
-            cap: cap as u32,
-            head: [0; PortDir::COUNT],
-            len: [0; PortDir::COUNT],
-            credit: credit_init,
-            credit_init,
-            out_owner: [None; PortDir::COUNT],
-            rr: [0; PortDir::COUNT],
-            forwarded: 0,
-            blocked: [false; PortDir::COUNT],
-        }
-    }
-
-    /// Oldest flit queued on input `i`, if any.
-    #[inline]
-    fn q_front(&self, i: usize) -> Option<&Flit> {
-        if self.len[i] == 0 {
-            return None;
-        }
-        self.buf[i * self.cap as usize + self.head[i] as usize].as_ref()
-    }
-
-    /// Pops the oldest flit from input `i`.
-    #[inline]
-    fn q_pop(&mut self, i: usize) -> Option<Flit> {
-        if self.len[i] == 0 {
-            return None;
-        }
-        let slot = i * self.cap as usize + self.head[i] as usize;
-        let flit = self.buf[slot].take();
-        debug_assert!(flit.is_some(), "occupied ring slot holds a flit");
-        // Conditional wrap instead of `%`: `cap` is a runtime value, so
-        // a modulo here would be a hardware divide on the hottest path.
-        self.head[i] = if self.head[i] + 1 == self.cap {
-            0
-        } else {
-            self.head[i] + 1
-        };
-        self.len[i] -= 1;
-        flit
-    }
-
-    /// Appends `flit` to input `i`; `false` when the FIFO is full.
-    #[inline]
-    fn q_push(&mut self, i: usize, flit: Flit) -> bool {
-        if self.len[i] >= self.cap {
-            return false;
-        }
-        let mut off = self.head[i] + self.len[i];
-        if off >= self.cap {
-            off -= self.cap;
-        }
-        let slot = i * self.cap as usize + off as usize;
-        debug_assert!(self.buf[slot].is_none(), "free ring slot is empty");
-        self.buf[slot] = Some(flit);
-        self.len[i] += 1;
-        true
-    }
-
-    /// Credit capacity of the downstream buffer behind `port`, or
-    /// `None` where no link exists (mesh edge).
-    #[must_use]
-    pub fn link_capacity(&self, port: PortDir) -> Option<usize> {
-        let init = self.credit_init[port.index()];
-        (init > 0).then_some(init as usize)
-    }
-
-    /// Fault injection: masks output `port` on (`true`) or off. While
-    /// masked the output stalls as if creditless; the network's
-    /// link-slowdown driver toggles this per cycle to model a link
-    /// running at a fraction of nominal bandwidth.
-    pub fn set_fault_blocked(&mut self, port: PortDir, blocked: bool) {
-        self.blocked[port.index()] = blocked;
-    }
-
-    /// Fault injection: confiscates up to `n` credits from output
-    /// `port`, returning how many were actually taken (0 on a port
-    /// with no link). The caller must eventually hand them back via
-    /// [`Router::fault_return_credits`] or the output is permanently
-    /// throttled.
-    pub fn fault_take_credits(&mut self, port: PortDir, n: usize) -> usize {
-        let p = port.index();
-        if self.credit_init[p] == 0 {
-            return 0;
-        }
-        let taken = (self.credit[p] as usize).min(n);
-        self.credit[p] -= taken as u32;
-        taken
-    }
-
-    /// Fault injection: returns `n` previously confiscated credits to
-    /// output `port` (see [`Router::fault_take_credits`]).
-    ///
-    /// # Panics
-    /// Panics if `port` has no link or the refill would exceed the
-    /// buffer capacity — returning credits that were never taken is a
-    /// fault-driver bug, not a modelled failure.
-    pub fn fault_return_credits(&mut self, port: PortDir, n: usize) {
-        let p = port.index();
-        assert!(
-            self.credit_init[p] > 0,
-            "credit return on a port with no link"
-        );
-        assert!(
-            self.credit[p] + n as u32 <= self.credit_init[p],
-            "credit overflow: refill beyond initial {}",
-            self.credit_init[p]
-        );
-        self.credit[p] += n as u32;
-    }
-
-    /// This tile's coordinate.
-    #[must_use]
-    pub fn coord(&self) -> Coord {
-        self.coord
-    }
-
-    /// Lifetime flits forwarded through any output.
-    #[must_use]
-    pub fn flits_forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Space left in the input FIFO on `port` (the network uses the
-    /// Local port's space to draw from the tile's source queue).
-    #[must_use]
-    pub fn input_space(&self, port: PortDir) -> usize {
-        (self.cap - self.len[port.index()]) as usize
-    }
-
-    /// Total flits currently buffered in all input FIFOs.
-    #[must_use]
-    pub fn buffered_flits(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
-    }
-
-    /// Delivers a flit into the input FIFO on `port`.
-    ///
-    /// # Panics
-    /// Panics if the FIFO is full — with credit flow control a delivery
-    /// into a full buffer is a protocol violation, not backpressure.
-    pub fn accept(&mut self, port: PortDir, flit: Flit) {
-        if !self.q_push(port.index(), flit) {
-            panic!(
-                "router {}: input overrun on {:?} (credit protocol violated)",
-                self.coord, port
-            );
-        }
-    }
-
-    /// Returns one credit for the downstream buffer behind `port`
-    /// (called by the network when the neighbor drains a flit we sent,
-    /// or when the tile pops a flit from its ejection buffer).
-    ///
-    /// # Panics
-    /// Panics if `port` has no link, or if the refill would exceed the
-    /// downstream buffer's capacity — a phantom credit means the flow
-    /// control protocol double-counted a drain.
-    pub fn refill_credit(&mut self, port: PortDir) {
-        let p = port.index();
-        assert!(
-            self.credit_init[p] > 0,
-            "credit refill on a port with no link"
-        );
-        assert!(
-            self.credit[p] < self.credit_init[p],
-            "credit overflow: refill beyond initial {}",
-            self.credit_init[p]
-        );
-        self.credit[p] += 1;
-    }
-
-    /// The output port a flit at this tile should leave through.
-    #[inline]
-    fn route(&self, dest: EngineId, topology: Topology, lut: &RouteLut) -> PortDir {
-        let dest_coord = lut
-            .coord_of(dest)
-            .unwrap_or_else(|| panic!("routing to unplaced engine {dest}"));
-        match topology.route_xy(self.coord, dest_coord) {
-            Some(d) => PortDir::from_direction(d),
-            None => PortDir::Local,
-        }
-    }
-
-    /// Route of the head flit at the front of input `i`, or `None`
-    /// when the input is empty or its front is a body/tail flit (those
-    /// only move via wormhole ownership, never via arbitration).
-    #[inline]
-    fn head_route(&self, i: usize, topology: Topology, lut: &RouteLut) -> Option<PortDir> {
-        self.q_front(i).and_then(|head| {
-            head.kind
-                .is_head()
-                .then(|| self.route(head.dest, topology, lut))
-        })
-    }
-
-    /// Phase 1: switch allocation and traversal for one cycle.
-    ///
-    /// Reads only this router's own input FIFOs and credit counters;
-    /// all externally visible effects are in the returned
-    /// [`StagedOutputs`], which the network applies in the commit phase.
-    ///
-    /// Convenience wrapper over [`Router::compute_into`]; the network's
-    /// hot loop reuses one staging buffer per router instead (see
-    /// `docs/PERF.md`).
-    pub fn compute(&mut self, topology: Topology, lut: &RouteLut) -> StagedOutputs {
-        let mut staged = StagedOutputs::default();
-        self.compute_into(topology, lut, &mut staged, true);
-        staged
-    }
-
-    /// True when no flit is buffered in any input FIFO — the router
-    /// cannot do anything until a neighbor or the local source delivers
-    /// one. Quiescent routers contribute `None` to the network's
-    /// fast-forward hint.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.len == [0; PortDir::COUNT]
-    }
-
-    /// Phase 1 into a caller-owned staging buffer (cleared first).
-    ///
-    /// Equivalent to [`Router::plan_into`] followed by materializing
-    /// the planned flits into `staged` — kept for tests and callers
-    /// that want the staged flits by value; the network's hot loop
-    /// uses [`Router::plan_into`] directly so each flit is moved once.
-    pub fn compute_into(
-        &mut self,
-        topology: Topology,
-        lut: &RouteLut,
-        staged: &mut StagedOutputs,
-        record_stalls: bool,
-    ) {
-        let mut plan = RoutePlan::default();
-        self.plan_into(topology, lut, &mut plan, record_stalls);
-        staged.clear();
-        staged.stalled = plan.stalled;
-        for o in 0..PortDir::COUNT {
-            if let Some(i) = plan.winner[o] {
-                let i = i as usize;
-                let flit = self.q_pop(i).expect("planned winner input non-empty");
-                staged.credits[i] = true;
-                staged.flits[o] = Some(flit);
-            }
-        }
-    }
-
-    /// Pops the flit a [`Router::plan_into`] winner promised for this
-    /// cycle (commit phase; the network moves it downstream).
-    ///
-    /// # Panics
-    /// Panics if input `i` is empty — the plan staged a flit that is no
-    /// longer there, which is a commit-ordering bug.
-    pub fn commit_pop(&mut self, i: usize) -> Flit {
-        self.q_pop(i).expect("planned winner input non-empty")
-    }
-
-    /// Phase 1: switch allocation for one cycle, by reference.
-    ///
-    /// Decides which input (if any) traverses each output port this
-    /// cycle, updating wormhole ownership, round-robin pointers, and
-    /// output credits, and records the winners in `plan`. Flits are
-    /// *not* popped here — the commit phase pops each winner exactly
-    /// once via [`Router::commit_pop`], so a flit is moved a single
-    /// time per hop. Reads only pre-tick input state, preserving the
-    /// two-phase discipline.
-    ///
-    /// `record_stalls` controls whether creditless outputs scan their
-    /// inputs to distinguish a stall from an idle port. The stall flags
-    /// feed only the `noc.credit_stall` trace event, so the network
-    /// passes `false` whenever the tracer is disabled and the scan
-    /// would be unobservable work.
-    pub fn plan_into(
-        &mut self,
-        topology: Topology,
-        lut: &RouteLut,
-        plan: &mut RoutePlan,
-        record_stalls: bool,
-    ) {
-        // Runtime shadow of the static credit lints: a credit counter
-        // must stay within [0, buffer capacity] (capacity 0 would make
-        // the link permanently mute — panic-verify PV102; the capacity
-        // bound itself is PV103's sizing model). Every transition is
-        // asserted at its call site; this checks the aggregate per
-        // cycle.
-        debug_assert!(
-            self.credit
-                .iter()
-                .zip(self.credit_init.iter())
-                .all(|(&c, &init)| c <= init),
-            "router {}: credit counter outside [0, buffer capacity] \
-             (see lints PV102/PV103)",
-            self.coord
-        );
-        plan.winner = [None; PortDir::COUNT];
-        plan.stalled = [false; PortDir::COUNT];
-
-        // Inputs not yet claimed by an earlier output this cycle.
-        let mut avail: u32 = (1 << PortDir::COUNT) - 1;
-        // want[o]: bitmask of inputs whose front flit is a *head*
-        // routing to output o. Body/tail fronts belong to a wormhole
-        // owned by some output (ownership persists until tail) and
-        // only move via that ownership, never via arbitration. Pops
-        // are deferred to the commit phase, so fronts are stable for
-        // the whole plan: one eager pass over the inputs replaces a
-        // per-output rescan.
-        let mut want: [u32; PortDir::COUNT] = [0; PortDir::COUNT];
-        for i in 0..PortDir::COUNT {
-            if self.len[i] > 0 {
-                if let Some(out) = self.head_route(i, topology, lut) {
-                    want[out.index()] |= 1 << i;
-                }
-            }
-        }
-        // `o` indexes five parallel per-output arrays, not just `want`.
-        #[allow(clippy::needless_range_loop)]
-        for o in 0..PortDir::COUNT {
-            // No link: this output idles.
-            if self.credit_init[o] == 0 {
-                continue;
-            }
-            if self.credit[o] == 0 || self.blocked[o] {
-                // Out of credits (or fault-masked): record whether
-                // traffic actually wanted this output, so the cycle
-                // shows up as a credit stall rather than an idle port.
-                if record_stalls {
-                    plan.stalled[o] = match self.out_owner[o] {
-                        Some(i) => self.len[i] > 0,
-                        None => (want[o] & avail) != 0,
-                    };
-                }
-                continue;
-            }
-
-            // Wormhole continuation: the owner input sends its next
-            // flit. Otherwise arbitrate round-robin from rr[o] among
-            // the inputs whose head flit routes here; the 5-bit rotate
-            // finds the first candidate at or after rr[o] without a
-            // scan, so an uncontended output costs a couple of ALU ops.
-            let winner = match self.out_owner[o] {
-                Some(i) => (avail & (1 << i) != 0 && self.len[i] > 0).then_some(i),
-                None => {
-                    let b = want[o] & avail;
-                    if b == 0 {
-                        None
-                    } else {
-                        let p = self.rr[o] as u32;
-                        let rot = ((b >> p) | (b << (PortDir::COUNT as u32 - p)))
-                            & ((1 << PortDir::COUNT) - 1);
-                        Some((self.rr[o] + rot.trailing_zeros() as usize) % PortDir::COUNT)
-                    }
-                }
-            };
-
-            let Some(i) = winner else { continue };
-            // Peek the winning flit for wormhole bookkeeping; the pop
-            // itself is deferred to the commit phase.
-            let kind = self.q_front(i).expect("winner input non-empty").kind;
-            avail &= !(1 << i);
-
-            // Update wormhole ownership.
-            if kind.is_tail() {
-                self.out_owner[o] = None;
-                // Advance round-robin past the input that just finished.
-                self.rr[o] = (i + 1) % PortDir::COUNT;
-            } else {
-                self.out_owner[o] = Some(i);
-            }
-
-            self.credit[o] -= 1;
-            plan.winner[o] = Some(i as u8);
-            self.forwarded += 1;
-        }
-    }
-}
-
+/// Router behavior, checked through the assembled mesh: each test
+/// drives a 3×3 row-major mesh (engine `3y + x` at tile `(x, y)`, the
+/// center router at `(1,1)`) and reads per-router hops and stalls from
+/// the trace.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{FlitRef, MeshNetwork, NetworkConfig};
+    use crate::topology::{Coord, Placement, Topology};
     use bytes::Bytes;
-    use packet::{Message, MessageId, MessageKind};
+    use packet::{EngineId, FlitKind, Message, MessageId, MessageKind};
+    use sim_core::time::Cycle;
+    use trace::Tracer;
 
-    fn topo() -> Topology {
-        Topology::mesh(3, 3)
+    /// The center tile's engine.
+    const CENTER: EngineId = EngineId(4);
+
+    fn mesh(cfg: RouterConfig) -> (MeshNetwork, Tracer) {
+        let topo = Topology::mesh(3, 3);
+        let mut net = MeshNetwork::new(
+            NetworkConfig {
+                topology: topo,
+                width_bits: 64,
+                router: cfg,
+            },
+            Placement::row_major(topo),
+        );
+        let tracer = Tracer::ring(1 << 16);
+        net.attach_tracer(&tracer);
+        (net, tracer)
     }
 
-    fn place() -> RouteLut {
-        RouteLut::build(&crate::topology::Placement::row_major(topo()), topo())
-    }
-
-    fn flits_for(dest: EngineId, payload: usize, id: u64) -> Vec<Flit> {
-        let msg = Message::builder(MessageId(id), MessageKind::EthernetFrame)
+    /// A message of `payload` bytes: 4 bytes make one 64-bit flit,
+    /// 16 bytes make three.
+    fn msg(id: u64, payload: usize) -> Message {
+        Message::builder(MessageId(id), MessageKind::EthernetFrame)
             .payload(Bytes::from(vec![0u8; payload]))
-            .build();
-        Flit::segment(msg, dest, 64)
+            .build()
+    }
+
+    /// Ticks cycles `from..to`, polling `rx` after each.
+    fn run(net: &mut MeshNetwork, from: u64, to: u64, rx: &[EngineId]) -> Vec<u64> {
+        let mut got = Vec::new();
+        for c in from..to {
+            net.tick(Cycle(c));
+            for &e in rx {
+                if let Some(m) = net.poll_ejected(e, Cycle(c + 1)) {
+                    got.push(m.id.0);
+                }
+            }
+        }
+        got
+    }
+
+    /// `(cycle, arg)` of every `name` event on router `(x, y)`.
+    fn events(tracer: &Tracer, name: &str, x: u8, y: u8) -> Vec<(u64, u64)> {
+        let track = tracer.track(&format!("noc.router{}", Coord::new(x, y)));
+        tracer
+            .ring_snapshot()
+            .unwrap()
+            .iter()
+            .filter(|e| e.track == track && e.name == name)
+            .map(|e| (e.ts, e.args[0].unwrap().1))
+            .collect()
+    }
+
+    /// Message ids forwarded by router `(x, y)`, in order.
+    fn hops(tracer: &Tracer, x: u8, y: u8) -> Vec<u64> {
+        events(tracer, "noc.hop", x, y)
+            .into_iter()
+            .map(|(_, id)| id)
+            .collect()
     }
 
     #[test]
     fn port_index_and_opposite() {
         for (i, p) in PortDir::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
+            assert_eq!(p.opposite().opposite(), *p);
+            assert_eq!(
+                p.opposite().direction(),
+                p.direction().map(Direction::opposite)
+            );
         }
         assert_eq!(PortDir::North.opposite(), PortDir::South);
         assert_eq!(PortDir::East.opposite(), PortDir::West);
@@ -643,51 +211,49 @@ mod tests {
 
     #[test]
     fn routes_flit_toward_destination_x_first() {
-        // Router at center (1,1); destination engine 8 at (2,2):
-        // XY routing goes East first.
-        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        let flits = flits_for(EngineId(8), 4, 1); // single HeadTail flit
-        assert_eq!(flits.len(), 1);
-        r.accept(PortDir::West, flits.into_iter().next().unwrap());
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
-        assert!(staged.credits[PortDir::West.index()]);
-        assert_eq!(r.flits_forwarded(), 1);
+        // Engine 3 at (0,1) to engine 8 at (2,2): XY routing goes East
+        // through the center and (2,1), then South.
+        let (mut net, tracer) = mesh(RouterConfig::default());
+        net.send(EngineId(3), EngineId(8), msg(1, 4), Cycle(0));
+        assert_eq!(run(&mut net, 0, 20, &[EngineId(8)]), vec![1]);
+        for (x, y) in [(0, 1), (1, 1), (2, 1), (2, 2)] {
+            assert_eq!(hops(&tracer, x, y), vec![1], "router ({x},{y})");
+        }
+        for (x, y) in [(0, 2), (1, 2)] {
+            assert!(hops(&tracer, x, y).is_empty(), "Y-first hop at ({x},{y})");
+        }
+        assert_eq!(net.total_flit_hops(), 4);
     }
 
     #[test]
     fn local_delivery_when_at_destination() {
-        // Router at (2,2) hosting engine 8.
-        let mut r = Router::new(Coord::new(2, 2), topo(), RouterConfig::default());
-        let f = flits_for(EngineId(8), 4, 1).remove(0);
-        r.accept(PortDir::North, f);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::Local.index()].is_some());
+        // Engine 5 at (2,1) to engine 8 at (2,2): one hop South, then
+        // router (2,2) delivers through its Local port.
+        let (mut net, tracer) = mesh(RouterConfig::default());
+        net.send(EngineId(5), EngineId(8), msg(1, 4), Cycle(0));
+        net.tick(Cycle(0));
+        net.tick(Cycle(1));
+        assert_eq!(events(&tracer, "noc.hop", 2, 1), vec![(0, 1)]);
+        assert_eq!(events(&tracer, "noc.hop", 2, 2), vec![(1, 1)]);
+        assert_eq!(net.ejection_depth(EngineId(8)), 1);
+        assert_eq!(net.stats().delivered_flits, 1);
+        let m = net.poll_ejected(EngineId(8), Cycle(2)).expect("delivered");
+        assert_eq!(m.id, MessageId(1));
     }
 
     #[test]
     fn wormhole_keeps_message_contiguous() {
-        // A 2-flit message and a competing 1-flit message to the same
-        // output: the second message must not interleave.
-        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        let long = flits_for(EngineId(5), 16, 1); // 16+2 bytes -> 3 flits
-        assert_eq!(long.len(), 3);
-        for f in long {
-            r.accept(PortDir::North, f);
-        }
-        let short = flits_for(EngineId(5), 4, 2).remove(0);
-        r.accept(PortDir::West, short);
-
-        // Destination engine 5 is at (2,1): East. Three cycles of the
-        // long message, then the short one.
-        let mut order = Vec::new();
-        for _ in 0..4 {
-            let staged = r.compute(topo(), &place());
-            if let Some(f) = &staged.flits[PortDir::East.index()] {
-                order.push(f.msg_id.0);
-            }
-        }
-        assert_eq!(order, vec![1, 1, 1, 2]);
+        // A 3-flit message from engine 3 enters the center on West and
+        // wins East; a 1-flit message from the center's own engine to
+        // the same output arrives a cycle later and must not
+        // interleave: three cycles of the long message, then the short.
+        let (mut net, tracer) = mesh(RouterConfig::default());
+        net.send(EngineId(3), EngineId(5), msg(1, 16), Cycle(0));
+        net.tick(Cycle(0));
+        net.send(CENTER, EngineId(5), msg(2, 4), Cycle(1));
+        let got = run(&mut net, 1, 20, &[EngineId(5)]);
+        assert_eq!(hops(&tracer, 1, 1), vec![1, 1, 1, 2]);
+        assert_eq!(got, vec![1, 2]);
     }
 
     #[test]
@@ -696,63 +262,72 @@ mod tests {
             input_buffer_flits: 2,
             ejection_buffer_flits: 2,
         };
-        let mut r = Router::new(Coord::new(1, 1), topo(), cfg);
-        // Two single-flit messages heading East (engine 5 at (2,1)).
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0));
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 2).remove(0));
-        // Credits toward East: 2. Consume both.
-        assert!(r.compute(topo(), &place()).flits[PortDir::East.index()].is_some());
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 3).remove(0));
-        assert!(r.compute(topo(), &place()).flits[PortDir::East.index()].is_some());
-        // No credits left: output stalls even though input has a flit,
-        // and the stall is reported for the tracer.
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_none());
-        assert!(staged.stalled[PortDir::East.index()]);
-        assert!(!staged.stalled[PortDir::North.index()], "idle != stalled");
-        // Refill one credit: the stalled flit moves.
-        r.refill_credit(PortDir::East);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
+        let (mut net, tracer) = mesh(cfg);
+        // Three 1-flit messages from engine 5 to engine 8, never
+        // polled: two fill the ejection buffer, the third stalls at
+        // router (2,2) on its Local output.
+        for id in 1..=3 {
+            net.send(EngineId(5), EngineId(8), msg(id, 4), Cycle(0));
+        }
+        run(&mut net, 0, 10, &[]);
+        assert_eq!(net.ejection_depth(EngineId(8)), 2);
+        assert_eq!(net.stats().delivered_flits, 2);
+        let stalls = events(&tracer, "noc.credit_stall", 2, 2);
+        assert!(!stalls.is_empty(), "credit exhaustion is reported");
+        assert!(
+            stalls
+                .iter()
+                .all(|&(_, port)| port == PortDir::Local.index() as u64),
+            "idle ports are not stalled: {stalls:?}"
+        );
+        // Draining one flit returns one credit: the stalled flit moves.
+        assert_eq!(net.poll_ejected(EngineId(8), Cycle(10)).unwrap().id.0, 1);
+        net.tick(Cycle(10));
+        assert_eq!(net.stats().delivered_flits, 3);
+        assert_eq!(net.ejection_depth(EngineId(8)), 2);
     }
 
     #[test]
     fn round_robin_shares_an_output() {
-        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        // Single-flit messages from two different inputs, all to East.
+        // Engines 3 (West input of the center) and 5 (East input) each
+        // send two 1-flit messages to engine 7 below the center: both
+        // inputs request the center's South output every cycle.
+        let (mut net, tracer) = mesh(RouterConfig::default());
         for id in [1u64, 3] {
-            r.accept(PortDir::North, flits_for(EngineId(5), 4, id).remove(0));
+            net.send(EngineId(3), EngineId(7), msg(id, 4), Cycle(0));
         }
         for id in [2u64, 4] {
-            r.accept(PortDir::South, flits_for(EngineId(5), 4, id).remove(0));
+            net.send(EngineId(5), EngineId(7), msg(id, 4), Cycle(0));
         }
-        let mut order = Vec::new();
-        for _ in 0..4 {
-            let staged = r.compute(topo(), &place());
-            if let Some(f) = &staged.flits[PortDir::East.index()] {
-                order.push(f.msg_id.0);
-            }
-        }
-        order.sort_unstable();
-        assert_eq!(order, vec![1, 2, 3, 4]);
-        // Fairness: neither input sent both of its flits before the
-        // other sent one. (With RR the interleave is strict.)
-        // Reconstruct actual order by rerunning is overkill; strictness
-        // is asserted by the wormhole test above.
+        run(&mut net, 0, 20, &[EngineId(7)]);
+        let order = hops(&tracer, 1, 1);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![1, 2, 3, 4]);
+        // Fairness: the pointer starts at North, so East wins first,
+        // then the grant strictly alternates between the two inputs.
+        assert_eq!(order, vec![2, 1, 4, 3]);
     }
 
     #[test]
     fn one_flit_per_input_per_cycle() {
-        // Two single-flit messages queued on ONE input, destined for
-        // different outputs: only one may leave per cycle.
-        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0)); // East
-        r.accept(PortDir::West, flits_for(EngineId(7), 4, 2).remove(0)); // South (7 is at (1,2))
-        let staged = r.compute(topo(), &place());
-        let sent = staged.flits.iter().flatten().count();
-        assert_eq!(sent, 1);
-        let staged = r.compute(topo(), &place());
-        assert_eq!(staged.flits.iter().flatten().count(), 1);
+        // Two 1-flit messages queue on the center's West input, bound
+        // for different outputs (East to engine 5, South to engine 7)
+        // while both outputs are held; once both free up, only one may
+        // leave per cycle.
+        let (mut net, tracer) = mesh(RouterConfig::default());
+        assert_eq!(
+            net.fault_hold_credits(CENTER, PortDir::East, 8, Cycle(10)),
+            8
+        );
+        assert_eq!(
+            net.fault_hold_credits(CENTER, PortDir::South, 8, Cycle(10)),
+            8
+        );
+        net.send(EngineId(3), EngineId(5), msg(1, 4), Cycle(0));
+        net.send(EngineId(3), EngineId(7), msg(2, 4), Cycle(0));
+        run(&mut net, 0, 20, &[EngineId(5), EngineId(7)]);
+        assert_eq!(events(&tracer, "noc.hop", 1, 1), vec![(10, 1), (11, 2)]);
     }
 
     #[test]
@@ -762,26 +337,30 @@ mod tests {
             input_buffer_flits: 1,
             ejection_buffer_flits: 1,
         };
-        let mut r = Router::new(Coord::new(0, 0), topo(), cfg);
-        r.accept(PortDir::East, flits_for(EngineId(0), 4, 1).remove(0));
-        r.accept(PortDir::East, flits_for(EngineId(0), 4, 2).remove(0));
+        let (mut net, _) = mesh(cfg);
+        let flit = FlitRef {
+            slot: 0,
+            dest: Coord::new(0, 0),
+            kind: FlitKind::HeadTail,
+        };
+        net.push_input(0, PortDir::East.index(), flit);
+        net.push_input(0, PortDir::East.index(), flit);
     }
 
     #[test]
     fn blocked_output_stalls_and_resumes() {
-        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0)); // East
-        r.set_fault_blocked(PortDir::East, true);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_none());
-        assert!(
-            staged.stalled[PortDir::East.index()],
-            "blocked looks stalled"
-        );
-        // Unblock: the flit moves, credits were conserved throughout.
-        r.set_fault_blocked(PortDir::East, false);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
+        // The center's East output is masked on every cycle until 10
+        // except multiples of 1000; the flit from engine 3 reaches the
+        // center at cycle 1 and must wait for the unmask.
+        let (mut net, tracer) = mesh(RouterConfig::default());
+        net.fault_link_slow(CENTER, PortDir::East, Cycle(10), 1000);
+        net.send(EngineId(3), EngineId(5), msg(1, 4), Cycle(0));
+        assert_eq!(run(&mut net, 0, 20, &[EngineId(5)]), vec![1]);
+        let stalls = events(&tracer, "noc.credit_stall", 1, 1);
+        let east = PortDir::East.index() as u64;
+        assert_eq!(stalls, (1..10).map(|c| (c, east)).collect::<Vec<_>>());
+        // Unmasked: the flit moves, credits were conserved throughout.
+        assert_eq!(events(&tracer, "noc.hop", 1, 1), vec![(10, 1)]);
     }
 
     #[test]
@@ -790,30 +369,36 @@ mod tests {
             input_buffer_flits: 2,
             ejection_buffer_flits: 2,
         };
-        let mut r = Router::new(Coord::new(1, 1), topo(), cfg);
+        let (mut net, tracer) = mesh(cfg);
         // Take both East credits; asking for more only gets what exists.
-        assert_eq!(r.fault_take_credits(PortDir::East, 5), 2);
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0));
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_none());
-        assert!(staged.stalled[PortDir::East.index()]);
-        // Return them: traffic flows again.
-        r.fault_return_credits(PortDir::East, 2);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
+        assert_eq!(
+            net.fault_hold_credits(CENTER, PortDir::East, 5, Cycle(20)),
+            2
+        );
+        net.send(EngineId(3), EngineId(5), msg(1, 4), Cycle(0));
+        let got = run(&mut net, 0, 30, &[EngineId(5)]);
+        assert!(!events(&tracer, "noc.credit_stall", 1, 1).is_empty());
+        // Return them at cycle 20: traffic flows again.
+        assert_eq!(events(&tracer, "noc.hop", 1, 1), vec![(20, 1)]);
+        assert_eq!(got, vec![1]);
         // A port with no link yields nothing to confiscate.
-        let mut corner = Router::new(Coord::new(0, 0), topo(), cfg);
-        assert_eq!(corner.fault_take_credits(PortDir::North, 3), 0);
+        assert_eq!(
+            net.fault_hold_credits(EngineId(0), PortDir::North, 3, Cycle(40)),
+            0
+        );
     }
 
     #[test]
     fn edge_router_has_no_credits_off_mesh() {
-        let r = Router::new(Coord::new(0, 0), topo(), RouterConfig::default());
-        // North and West links don't exist at the corner.
-        assert!(r.link_capacity(PortDir::North).is_none());
-        assert!(r.link_capacity(PortDir::West).is_none());
-        assert_eq!(r.link_capacity(PortDir::East), Some(8));
-        assert_eq!(r.link_capacity(PortDir::South), Some(8));
-        assert_eq!(r.link_capacity(PortDir::Local), Some(16));
+        // Confiscating everything reads each output's credit capacity
+        // at the corner (0,0): North and West links don't exist.
+        let (mut net, _) = mesh(RouterConfig::default());
+        let corner = EngineId(0);
+        let mut cap = |p| net.fault_hold_credits(corner, p, usize::MAX, Cycle(0));
+        assert_eq!(cap(PortDir::North), 0);
+        assert_eq!(cap(PortDir::West), 0);
+        assert_eq!(cap(PortDir::East), 8);
+        assert_eq!(cap(PortDir::South), 8);
+        assert_eq!(cap(PortDir::Local), 16);
     }
 }

@@ -33,6 +33,6 @@ pub mod message;
 pub mod phv;
 
 pub use chain::{ChainHeader, EngineClass, EngineId, Slack};
-pub use flit::{Flit, FlitKind, MessagePool};
+pub use flit::{Flit, FlitKind};
 pub use message::{Message, MessageBuilder, MessageId, MessageKind, Priority, TenantId};
 pub use phv::{Field, FieldValue, Phv};

@@ -155,18 +155,6 @@ impl Message {
     pub fn latency_at(&self, now: Cycle) -> sim_core::time::Cycles {
         now.since(self.injected_at)
     }
-
-    /// A cheap, allocation-free placeholder message.
-    ///
-    /// Used by [`crate::flit::MessagePool`] to swap a real message out
-    /// of a recycled box without a fresh heap allocation: the empty
-    /// payload ([`Bytes::new`]) and empty chain hold no storage. The id
-    /// is `u64::MAX` so a placeholder that leaks into the datapath is
-    /// conspicuous in traces; no model may ever process one.
-    #[must_use]
-    pub fn placeholder() -> Message {
-        Message::builder(MessageId(u64::MAX), MessageKind::Internal).build()
-    }
 }
 
 /// Builder for [`Message`] — keeps call sites readable as metadata

@@ -22,7 +22,7 @@ use sim_core::{Bandwidth, Cycles, Freq};
 /// induces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
-    /// Dimension-ordered X-then-Y routing — what [`noc::Router`]
+    /// Dimension-ordered X-then-Y routing — what the [`noc`] mesh
     /// implements. Its channel-dependency graph is acyclic, so the
     /// checker certifies it deadlock-free on any mesh.
     XyDimensionOrdered,

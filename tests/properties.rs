@@ -4,6 +4,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use noc::network::{MeshNetwork, NetworkConfig};
+use noc::router::RouterConfig;
+use noc::topology::{Placement, Topology};
 use packet::chain::{ChainHeader, EngineId, Hop, Slack};
 use packet::headers::{
     build_udp_frame, ethertype, internet_checksum, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr,
@@ -15,6 +18,7 @@ use packet::Flit;
 use rmt::parse::ParseGraph;
 use sched::pifo::Pifo;
 use sim_core::stats::Histogram;
+use sim_core::time::Cycle;
 
 fn arb_hop() -> impl Strategy<Value = Hop> {
     (any::<u16>(), any::<u32>()).prop_map(|(e, s)| Hop {
@@ -124,9 +128,9 @@ proptest! {
         prop_assert!(decrypt_frame(&outer, &wrong).is_none());
     }
 
-    /// Flit segmentation: flit count matches ceil(bits/width), exactly
-    /// one head and one tail, sequence numbers dense, and the message
-    /// survives in the tail.
+    /// Flit segmentation, as the mesh runs it: flit count matches
+    /// ceil(bits/width), exactly one head and one tail, sequence numbers
+    /// dense, and the message survives delivery through the mesh.
     #[test]
     fn flit_segmentation(payload_len in 0usize..4096, width_pow in 5u32..9) {
         let width = 1u64 << width_pow; // 32..256 bits
@@ -134,7 +138,7 @@ proptest! {
             .payload(Bytes::from(vec![0u8; payload_len]))
             .build();
         let wire_bits = msg.wire_size().bits();
-        let flits = Flit::segment(msg, EngineId(3), width);
+        let flits: Vec<Flit> = Flit::segment(&msg, EngineId(1), width).collect();
         let expect = wire_bits.div_ceil(width).max(1) as usize;
         prop_assert_eq!(flits.len(), expect);
         prop_assert_eq!(flits.iter().filter(|f| f.kind.is_head()).count(), 1);
@@ -143,8 +147,22 @@ proptest! {
             prop_assert_eq!(f.seq as usize, i);
             prop_assert_eq!(f.total as usize, expect);
         }
-        let tail = flits.into_iter().next_back().unwrap();
-        prop_assert_eq!(tail.into_message().payload.len(), payload_len);
+        // Engine 0 sends to its neighbor on a 2x1 mesh of this width.
+        let topo = Topology::mesh(2, 1);
+        let mut net = MeshNetwork::new(
+            NetworkConfig { topology: topo, width_bits: width, router: RouterConfig::default() },
+            Placement::row_major(topo),
+        );
+        net.send(EngineId(0), EngineId(1), msg, Cycle(0));
+        let mut now = Cycle(0);
+        let mut delivered = None;
+        while delivered.is_none() && now.0 < 4 * expect as u64 + 16 {
+            net.tick(now);
+            now = now.next();
+            delivered = net.poll_ejected(EngineId(1), now);
+        }
+        prop_assert_eq!(net.stats().delivered_flits as usize, expect);
+        prop_assert_eq!(delivered.expect("tail delivered").payload.len(), payload_len);
     }
 
     /// PIFO pop order equals a stable sort by rank of the pushes.

@@ -2,9 +2,9 @@
 //! root because the counting `#[global_allocator]` needs `unsafe`,
 //! which the library crates forbid; see `docs/PERF.md`).
 //!
-//! The hot loop was de-allocated in layers — router `compute_into`
-//! scratch, staged network buffers, the flit [`packet`] `MessagePool`
-//! arena, engine `process_into`, and the scenarios' reusable drain
+//! The hot loop was de-allocated in layers — the mesh's reused move
+//! and wormhole lists, its message slab (flits are 8-byte handles into
+//! it), engine `process_into`, and the scenarios' reusable drain
 //! buffers — and this test is what keeps it that way: after a warm-up
 //! window, every `tick` (and wire drain) of a busy NIC must allocate
 //! nothing.
@@ -13,11 +13,10 @@
 //!
 //! Allocation during the warm-up window is expected and legitimate:
 //!
-//! * scratch buffers growing to their steady-state capacity (router
-//!   route scratch, network stage buffers, the NIC's wire/host drain
-//!   buffers);
-//! * the `MessagePool` arena minting its working set of flit
-//!   buffers (recycled, never freed, thereafter);
+//! * scratch buffers growing to their steady-state capacity (the
+//!   mesh's move list, the NIC's wire/host drain buffers);
+//! * the NoC message slab growing to its working set of in-flight
+//!   messages (slots are reused, never freed, thereafter);
 //! * per-tile queue and scheduler storage reaching peak occupancy;
 //! * lazily built engine state (e.g. a MAC's first-use histograms);
 //! * the event kernel's [`TimerWheel`] slot buckets and due buffer
